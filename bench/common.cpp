@@ -7,8 +7,10 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 
+#include "io/cli_args.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/curve_report.hpp"
@@ -46,22 +48,16 @@ namespace {
   std::exit(2);
 }
 
-/// Strict unsigned parse: the whole token must be a decimal (or, with
-/// base 0, 0x-prefixed) integer inside [min, max].
+/// io::parse_uint, exiting 2 with `expected` in the message on a bad token.
 std::uint64_t parse_uint(const char* prog, std::string_view flag,
                          std::string_view value, std::uint64_t min,
                          std::uint64_t max, const char* expected,
                          int base = 10) {
-  const std::string token(value);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(token.c_str(), &end, base);
-  if (token.empty() || end != token.c_str() + token.size() || errno == ERANGE ||
-      token.front() == '-') {
+  try {
+    return io::parse_uint(value, min, max, base);
+  } catch (const std::invalid_argument&) {
     bad_value(prog, flag, value, expected);
   }
-  if (parsed < min || parsed > max) bad_value(prog, flag, value, expected);
-  return parsed;
 }
 
 double parse_fraction(const char* prog, std::string_view flag,

@@ -47,14 +47,14 @@ void BM_AliasSample(benchmark::State& state) {
 BENCHMARK(BM_AliasSample)->Arg(101)->Arg(4096);
 
 void BM_EventQueue(benchmark::State& state) {
-  sim::EventQueue queue;
+  sim::EventQueue<sim::Event> queue;
   rng::Xoshiro256ss gen(1);
   for (int i = 0; i < 256; ++i) {
-    queue.push(gen.next_double(), sim::EventKind::kAccess, 0);
+    queue.push({gen.next_double(), 0, sim::EventKind::kAccess, 0});
   }
   for (auto _ : state) {
     const sim::Event e = queue.pop();
-    queue.push(e.time + rng::exponential(gen, 1.0), sim::EventKind::kAccess, 0);
+    queue.push({e.time + rng::exponential(gen, 1.0), 0, sim::EventKind::kAccess, 0});
   }
 }
 BENCHMARK(BM_EventQueue);

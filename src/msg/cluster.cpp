@@ -133,17 +133,17 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
 
   const double mu_f = params_.config.mu_fail();
   for (net::SiteId s = 0; s < topo.site_count(); ++s) {
-    push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail, s, {}, 0,
-               0, 0});
+    queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail, s,
+                      {}, 0, 0, 0});
   }
   for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-    push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail, l, {}, 0,
-               0, 0});
+    queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail, l,
+                      {}, 0, 0, 0});
   }
   const double interarrival =
       params_.config.mu_access / static_cast<double>(topo.site_count());
-  push(Event{now_ + rng::exponential(gen_, interarrival), 0, Kind::kAccess, 0, {},
-             0, 0, 0});
+  queue_.push(Event{now_ + rng::exponential(gen_, interarrival), 0, Kind::kAccess,
+                    0, {}, 0, 0, 0});
 }
 
 void Cluster::set_trace(obs::TraceRecorder* trace) {
@@ -225,7 +225,7 @@ void Cluster::attach_injector(fault::FaultInjector* injector) {
     e.time = timeline[i].time;
     e.kind = Kind::kFault;
     e.index = static_cast<std::uint32_t>(i);
-    push(e);
+    queue_.push(e);
   }
 }
 
@@ -240,17 +240,8 @@ void Cluster::attach_adaptive(adapt::AdaptiveController* controller) {
         "Cluster::attach_adaptive: controller sized for a different system");
   }
   adapt_window_start_ = outcomes_.size();
-  push(Event{now_ + controller->options().epoch_length, 0, Kind::kAdaptEpoch,
-             0, {}, 0, 0, 0});
-}
-
-void Cluster::push(Event e) {
-  e.seq = next_seq_++;
-  if (params_.model_mode) {
-    model_queue_.push_back(e);
-    return;
-  }
-  queue_.push(e);
+  queue_.push(Event{now_ + controller->options().epoch_length, 0,
+                    Kind::kAdaptEpoch, 0, {}, 0, 0, 0});
 }
 
 void Cluster::stamp(Message& m, net::SiteId author) const {
@@ -299,7 +290,7 @@ void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
     // arrival, so later messages keep their ordering.
     ++messages_dropped_;
   } else {
-    push(e);
+    queue_.push(e);
   }
   if (fate.duplicate) {
     ++messages_sent_;
@@ -308,7 +299,7 @@ void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
     fifo_clock_[dir] = dup_arrival;
     Event dup = e;
     dup.time = dup_arrival;
-    push(dup);
+    queue_.push(dup);
   }
 }
 
@@ -446,7 +437,7 @@ void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
   timer.target = origin;
   timer.request = request;
   timer.phase = 1;
-  push(timer);
+  queue_.push(timer);
 
   // Single-site quorums decide immediately.
   Pending& live_p = pending_[origin][request];
@@ -506,7 +497,7 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
   e.kind = Kind::kRetry;
   e.target = coordinator;
   e.request = request;
-  push(e);
+  queue_.push(e);
 }
 
 void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
@@ -754,7 +745,7 @@ void Cluster::handle_delivery(const Event& e) {
         timer.target = here;
         timer.request = m.request;
         timer.phase = 2;
-        push(timer);
+        queue_.push(timer);
 
         // The partial-write scenario: the commit flood has departed, the
         // ack quorum has not assembled — a scripted crash lands exactly in
@@ -821,8 +812,8 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
   on_site_failed(coordinator);
   maybe_cascade(coordinator);
   if (*down_for > 0.0) {
-    push(Event{now_ + *down_for, 0, Kind::kSiteRecover, coordinator, {}, 0, 0,
-               0});
+    queue_.push(Event{now_ + *down_for, 0, Kind::kSiteRecover, coordinator, {},
+                      0, 0, 0});
   } else {
     // duration == 0: crash with immediate restart. Volatile coordination
     // state is gone (the pending request just resolved coordinator-crash)
@@ -864,7 +855,8 @@ void Cluster::maybe_cascade(net::SiteId failed) {
                 obs::kFaultSite);
     // One level of contagion only: victims recover via kFaultRecover and
     // never cascade themselves, so a rack rule cannot melt the fleet.
-    push(Event{now_ + down_for, 0, Kind::kFaultRecover, victim, {}, 0, 0, 0});
+    queue_.push(
+        Event{now_ + down_for, 0, Kind::kFaultRecover, victim, {}, 0, 0, 0});
   }
 }
 
@@ -1054,30 +1046,30 @@ void Cluster::step(const Event& e) {
       on_site_failed(e.index);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      push(Event{now_ + rng::exponential(gen_, mu_r), 0, Kind::kSiteRecover,
-                 e.index, {}, 0, 0, 0});
+      queue_.push(Event{now_ + rng::exponential(gen_, mu_r), 0,
+                        Kind::kSiteRecover, e.index, {}, 0, 0, 0});
       maybe_cascade(e.index);
       break;
     case Kind::kSiteRecover:
       live_.set_site_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultSite);
-      push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail,
-                 e.index, {}, 0, 0, 0});
+      queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail,
+                        e.index, {}, 0, 0, 0});
       break;
     case Kind::kLinkFail:
       live_.set_link_up(e.index, false);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      push(Event{now_ + rng::exponential(gen_, mu_r), 0, Kind::kLinkRecover,
-                 e.index, {}, 0, 0, 0});
+      queue_.push(Event{now_ + rng::exponential(gen_, mu_r), 0,
+                        Kind::kLinkRecover, e.index, {}, 0, 0, 0});
       break;
     case Kind::kLinkRecover:
       live_.set_link_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail,
-                 e.index, {}, 0, 0, 0});
+      queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail,
+                        e.index, {}, 0, 0, 0});
       break;
     case Kind::kAccess: {
       const auto origin = static_cast<net::SiteId>(
@@ -1085,8 +1077,8 @@ void Cluster::step(const Event& e) {
       handle_access(origin);
       const double interarrival =
           params_.config.mu_access / static_cast<double>(topo_->site_count());
-      push(Event{now_ + rng::exponential(gen_, interarrival), 0, Kind::kAccess,
-                 0, {}, 0, 0, 0});
+      queue_.push(Event{now_ + rng::exponential(gen_, interarrival), 0,
+                        Kind::kAccess, 0, {}, 0, 0, 0});
       break;
     }
     case Kind::kDelivery:
@@ -1205,15 +1197,14 @@ void Cluster::handle_adapt_epoch() {
   } else {
     logf(log_, now_, buf, "adapt epoch skipped: no operational site");
   }
-  push(Event{now_ + adaptive_->options().epoch_length, 0, Kind::kAdaptEpoch, 0,
-             {}, 0, 0, 0});
+  queue_.push(Event{now_ + adaptive_->options().epoch_length, 0,
+                    Kind::kAdaptEpoch, 0, {}, 0, 0, 0});
 }
 
 void Cluster::run_decided_accesses(std::uint64_t count) {
   const std::uint64_t target = decided_ + count;
   while (decided_ < target) {
-    Event e = queue_.top();
-    queue_.pop();
+    const Event e = queue_.pop();
     now_ = e.time;
     step(e);
   }
@@ -1221,8 +1212,7 @@ void Cluster::run_decided_accesses(std::uint64_t count) {
 
 void Cluster::run_until(double t_end) {
   while (!queue_.empty() && queue_.top().time <= t_end) {
-    Event e = queue_.top();
-    queue_.pop();
+    const Event e = queue_.pop();
     now_ = e.time;
     step(e);
   }

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -267,7 +266,8 @@ public:
   /// The currently enabled transitions. Links are FIFO per direction, so
   /// only the earliest pending delivery of each directed link is enabled —
   /// later ones cannot overtake it under any timing. Timers and retries
-  /// are always enabled ("the replies were slow").
+  /// are always enabled ("the replies were slow"). Returned in ascending
+  /// `seq`, i.e. scheduling order.
   std::vector<ModelEvent> model_enabled_events() const;
   /// Fire the pending event with sequence number `seq` (must be enabled).
   /// Returns false if no such event is pending.
@@ -372,14 +372,6 @@ private:
     std::uint64_t request = 0;    // kTimer/kRetry
     int phase = 0;                // kTimer
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  void push(Event e);
   void step(const Event& e);
   void send(net::SiteId from, net::LinkId link, const Message& m);
   void flood(net::SiteId from, std::uint64_t flood_id, const Message& m,
@@ -457,12 +449,9 @@ private:
   double adapt_pre_install_avail_ = 0.0;
   bool adapt_realized_pending_ = false;
 
-  QUORA_SHARD_LOCAL(msg) std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  /// Model mode only: pending events live here (flat, scannable, erasable
-  /// by seq) instead of in the priority queue — the explorer, not time,
-  /// decides what fires next.
-  QUORA_SHARD_LOCAL(msg) std::vector<Event> model_queue_;
-  QUORA_SHARD_LOCAL(msg) std::uint64_t next_seq_ = 0;
+  /// Pending events of both modes: the timed run pops them in (time, seq)
+  /// order; in model mode the explorer picks what fires next from it.
+  QUORA_SHARD_LOCAL(msg) sim::EventQueue<Event> queue_;
   QUORA_SHARD_LOCAL(msg) double now_ = 0.0;
 
   QUORA_SHARD_LOCAL(msg) std::vector<Copy> copies_;

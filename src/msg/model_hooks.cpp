@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -53,7 +55,8 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
     return 2 * static_cast<std::size_t>(e.index) +
            (topo_->link(e.index).b == e.target ? 0 : 1);
   };
-  for (const Event& e : model_queue_) {
+  const std::span<const Event> pending = queue_.pending();
+  for (const Event& e : pending) {
     if (e.kind != Kind::kDelivery) continue;
     const std::size_t dir = dir_of(e);
     if (e.time < head[dir].first ||
@@ -63,8 +66,8 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   }
 
   std::vector<ModelEvent> out;
-  out.reserve(model_queue_.size());
-  for (const Event& e : model_queue_) {
+  out.reserve(pending.size());
+  for (const Event& e : pending) {
     ModelEvent me;
     me.seq = e.seq;
     me.target = e.target;
@@ -91,6 +94,11 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
     }
     out.push_back(me);
   }
+  // pending() is in heap order; the explorer's DFS order and its
+  // per-descriptor occurrence numbering rest on ascending seq.
+  std::sort(out.begin(), out.end(), [](const ModelEvent& a, const ModelEvent& b) {
+    return a.seq < b.seq;
+  });
   return out;
 }
 
@@ -99,37 +107,26 @@ void Cluster::model_purge_dead_timers() {
   // was superseded, and with max_retries == 0 (model mode) phases only
   // advance — so such an event can never do anything again. Dropping it
   // here merges every "fire the dead timer now vs. later" pair of states.
-  model_queue_.erase(
-      std::remove_if(model_queue_.begin(), model_queue_.end(),
-                     [this](const Event& e) {
-                       if (e.kind != Kind::kTimer && e.kind != Kind::kRetry) {
-                         return false;
-                       }
-                       const auto it = pending_[e.target].find(e.request);
-                       if (it == pending_[e.target].end()) return true;
-                       return e.kind == Kind::kTimer &&
-                              it->second.phase != e.phase;
-                     }),
-      model_queue_.end());
+  queue_.remove_if([this](const Event& e) {
+    if (e.kind != Kind::kTimer && e.kind != Kind::kRetry) return false;
+    const auto it = pending_[e.target].find(e.request);
+    if (it == pending_[e.target].end()) return true;
+    return e.kind == Kind::kTimer && it->second.phase != e.phase;
+  });
 }
 
 bool Cluster::model_step_event(std::uint64_t seq) {
   QUORA_PRECONDITION(params_.model_mode,
                      "model_step_event needs Params::model_mode");
-  for (std::size_t i = 0; i < model_queue_.size(); ++i) {
-    if (model_queue_[i].seq != seq) continue;
-    const Event e = model_queue_[i];
-    model_queue_.erase(model_queue_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    // Logical clock: one tick per transition. Submission and decision
-    // timestamps then order by firing sequence, which is exactly the
-    // linearization `check_safety`'s real-time comparisons audit.
-    now_ += 1.0;
-    step(e);
-    model_purge_dead_timers();
-    return true;
-  }
-  return false;
+  const std::optional<Event> e = queue_.remove(seq);
+  if (!e) return false;
+  // Logical clock: one tick per transition. Submission and decision
+  // timestamps then order by firing sequence, which is exactly the
+  // linearization `check_safety`'s real-time comparisons audit.
+  now_ += 1.0;
+  step(*e);
+  model_purge_dead_timers();
+  return true;
 }
 
 void Cluster::model_submit_access(net::SiteId origin, bool is_read) {
@@ -247,15 +244,15 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   const auto fifo_rank = [&](const Event& e) {
     std::uint64_t rank = 0;
     const std::size_t dir = dir_of(e);
-    for (const Event& o : model_queue_) {
+    for (const Event& o : queue_.pending()) {
       if (o.kind != Kind::kDelivery || dir_of(o) != dir) continue;
       if (o.time < e.time || (o.time == e.time && o.seq < e.seq)) ++rank;
     }
     return rank;
   };
   std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(model_queue_.size());
-  for (const Event& e : model_queue_) {
+  encodings.reserve(queue_.size());
+  for (const Event& e : queue_.pending()) {
     std::vector<std::uint64_t> enc;
     switch (e.kind) {
       case Kind::kDelivery: {

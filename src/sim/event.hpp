@@ -1,6 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/analysis_annotations.hpp"
@@ -26,8 +30,11 @@ struct Event {
   std::uint32_t index = 0;  // site or link id; unused for kAccess
 };
 
-/// Min-heap of events ordered by (time, seq). The seq tie-break makes event
-/// processing a total order, so simulations are bitwise reproducible.
+/// Min-heap of timed events ordered by (time, seq): the repo's one event
+/// queue. `sim::Simulator` runs on it, and so does `msg::Cluster` in both
+/// its timed run and model mode. `E` is any record with `double time` and
+/// `std::uint64_t seq`; push() stamps `seq` with the insertion count, so
+/// the order is total and simulations are bitwise reproducible.
 ///
 /// Implemented as an implicit 4-ary heap rather than std::priority_queue's
 /// binary one: sift-downs touch a quarter as many levels and the four
@@ -35,11 +42,13 @@ struct Event {
 /// simulator's event loop. Because every (time, seq) key is unique the pop
 /// order — and therefore every simulation trace — is identical to the
 /// binary heap's, independent of arity.
+template <class E>
 class EventQueue {
 public:
-  QUORA_HOT_PATH void push(double time, EventKind kind, std::uint32_t index) {
+  QUORA_HOT_PATH void push(E e) {
+    e.seq = next_seq_++;
     // quora-lint: allow(L006) amortized growth: every pop hands back a slot, so steady state never reallocates; quora_bench --alloc-check enforces it
-    heap_.push_back(Event{time, next_seq_++, kind, index});
+    heap_.push_back(e);
     sift_up(heap_.size() - 1);
   }
 
@@ -50,24 +59,61 @@ public:
   /// genuinely released memory.
   std::size_t capacity() const noexcept { return heap_.capacity(); }
 
-  QUORA_HOT_PATH Event pop() {
-    Event e = heap_.front();
-    const Event last = heap_.back();
+  /// The event pop() would return. Precondition: !empty().
+  const E& top() const { return heap_.front(); }
+
+  QUORA_HOT_PATH E pop() {
+    E e = heap_.front();
+    const E last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_hole_down(last);
     return e;
+  }
+
+  /// Every pending event, in heap order (not sorted): for a scheduler that
+  /// picks what fires next itself, as the model checker does.
+  std::span<const E> pending() const noexcept { return heap_; }
+
+  /// Removes the pending event stamped `seq` and returns it; nullopt (and
+  /// no change) when no such event is pending.
+  std::optional<E> remove(std::uint64_t seq) {
+    const auto it = std::find_if(heap_.begin(), heap_.end(),
+                                 [seq](const E& e) { return e.seq == seq; });
+    if (it == heap_.end()) return std::nullopt;
+    const E e = *it;
+    const std::size_t i = static_cast<std::size_t>(it - heap_.begin());
+    const E last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+      heap_[i] = last;
+      sift_up(i);
+      sift_down(i);
+    }
+    return e;
+  }
+
+  /// Removes every pending event `pred` holds for, then re-heapifies;
+  /// returns how many were removed.
+  template <class Pred>
+  std::size_t remove_if(Pred pred) {
+    const auto kept = std::remove_if(heap_.begin(), heap_.end(), pred);
+    const auto removed = static_cast<std::size_t>(heap_.end() - kept);
+    heap_.erase(kept, heap_.end());
+    // Floyd's heapify: sift down every node that has a child, bottom-up.
+    for (std::size_t i = heap_.size() / 4 + 1; i-- > 0;) sift_down(i);
+    return removed;
   }
 
   /// Reset to a freshly-constructed state: the heap's capacity is released
   /// (not retained) so a cleared queue holds no memory, and the sequence
   /// counter restarts so replays from a cleared queue stay deterministic.
   void clear() {
-    std::vector<Event>().swap(heap_);
+    std::vector<E>().swap(heap_);
     next_seq_ = 0;
   }
 
 private:
-  static bool earlier(const Event& a, const Event& b) noexcept {
+  static bool earlier(const E& a, const E& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
@@ -75,15 +121,15 @@ private:
   /// Same predicate without short-circuiting: both legs evaluate, so the
   /// compiler can lower the descent's child selection to flag ops + cmov
   /// instead of data-dependent branches (random keys mispredict ~50%).
-  static bool earlier_nb(const Event& a, const Event& b) noexcept {
+  static bool earlier_nb(const E& a, const E& b) noexcept {
     return static_cast<int>(a.time < b.time) |
            (static_cast<int>(a.time == b.time) &
             static_cast<int>(a.seq < b.seq));
   }
 
   void sift_up(std::size_t i) {
-    Event* const h = heap_.data();
-    const Event e = h[i];
+    E* const h = heap_.data();
+    const E e = h[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 2;
       if (!earlier(e, h[parent])) break;
@@ -93,13 +139,34 @@ private:
     h[i] = e;
   }
 
+  /// Classic early-exit descent from `i`, for the removal paths. The
+  /// subtrees below `i` must already be heaps; nothing above `i` is read.
+  void sift_down(std::size_t i) {
+    E* const h = heap_.data();
+    const std::size_t n = heap_.size();
+    if (i >= n) return;
+    const E e = h[i];
+    std::size_t first;
+    while ((first = (i << 2) + 1) < n) {
+      std::size_t best = first;
+      const std::size_t end = std::min(first + 4, n);
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (earlier(h[c], h[best])) best = c;
+      }
+      if (!earlier(h[best], e)) break;
+      h[i] = h[best];
+      i = best;
+    }
+    h[i] = e;
+  }
+
   /// Root removal, libstdc++-style: sink the root hole to a leaf choosing
   /// the min child per level (no compare against `e` on the way down),
   /// drop the former last element `e` into the leaf hole, and sift it
   /// back up. On random keys `e` rarely climbs, so this does strictly
   /// fewer unpredictable comparisons than the classic early-exit descent.
-  void sift_hole_down(const Event e) {
-    Event* const h = heap_.data();
+  void sift_hole_down(const E e) {
+    E* const h = heap_.data();
     const std::size_t n = heap_.size();
     std::size_t i = 0;
     std::size_t first;
@@ -123,7 +190,7 @@ private:
     sift_up(i);
   }
 
-  std::vector<Event> heap_;
+  std::vector<E> heap_;
   std::uint64_t next_seq_ = 0;
 };
 

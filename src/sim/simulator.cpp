@@ -50,16 +50,17 @@ void Simulator::schedule_initial_events() {
   for (net::SiteId s = 0; s < topo_->site_count(); ++s) {
     const double mu = site_mu_fail(s);
     if (std::isfinite(mu)) {
-      queue_.push(now_ + rng::exponential(gen_, mu), EventKind::kSiteFail, s);
+      queue_.push({now_ + rng::exponential(gen_, mu), 0, EventKind::kSiteFail, s});
     }
   }
   for (net::LinkId l = 0; l < topo_->link_count(); ++l) {
     const double mu = link_mu_fail(l);
     if (std::isfinite(mu)) {
-      queue_.push(now_ + rng::exponential(gen_, mu), EventKind::kLinkFail, l);
+      queue_.push({now_ + rng::exponential(gen_, mu), 0, EventKind::kLinkFail, l});
     }
   }
-  queue_.push(now_ + rng::exponential(gen_, access_interarrival_), EventKind::kAccess, 0);
+  queue_.push({now_ + rng::exponential(gen_, access_interarrival_), 0,
+               EventKind::kAccess, 0});
 }
 
 void Simulator::set_trace(obs::TraceRecorder* trace) {
@@ -126,8 +127,8 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_site_failures_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push(now_ + rng::exponential(gen_, site_mu_repair(e.index)),
-                  EventKind::kSiteRecover, e.index);
+      queue_.push({now_ + rng::exponential(gen_, site_mu_repair(e.index)), 0,
+                   EventKind::kSiteRecover, e.index});
       notify_network(e.kind, e.index);
       break;
     }
@@ -137,8 +138,8 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_site_recoveries_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push(now_ + rng::exponential(gen_, site_mu_fail(e.index)),
-                  EventKind::kSiteFail, e.index);
+      queue_.push({now_ + rng::exponential(gen_, site_mu_fail(e.index)), 0,
+                   EventKind::kSiteFail, e.index});
       notify_network(e.kind, e.index);
       break;
     }
@@ -148,8 +149,8 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_link_failures_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push(now_ + rng::exponential(gen_, link_mu_repair(e.index)),
-                  EventKind::kLinkRecover, e.index);
+      queue_.push({now_ + rng::exponential(gen_, link_mu_repair(e.index)), 0,
+                   EventKind::kLinkRecover, e.index});
       notify_network(e.kind, e.index);
       break;
     }
@@ -159,8 +160,8 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_link_recoveries_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push(now_ + rng::exponential(gen_, link_mu_fail(e.index)),
-                  EventKind::kLinkFail, e.index);
+      queue_.push({now_ + rng::exponential(gen_, link_mu_fail(e.index)), 0,
+                   EventKind::kLinkFail, e.index});
       notify_network(e.kind, e.index);
       break;
     }
@@ -182,8 +183,8 @@ void Simulator::handle(const Event& e) {
       QUORA_TRACE(trace_, obs::EventKind::kAccessSubmit, ev.site,
                   counters_.accesses, 0, ev.is_read ? 1 : 0);
       notify_access(ev);
-      queue_.push(now_ + rng::exponential(gen_, access_interarrival_),
-                  EventKind::kAccess, 0);
+      queue_.push({now_ + rng::exponential(gen_, access_interarrival_), 0,
+                   EventKind::kAccess, 0});
       break;
     }
   }

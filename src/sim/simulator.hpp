@@ -181,7 +181,7 @@ private:
   QUORA_SHARD_LOCAL(sim) conn::LiveNetwork live_;
   QUORA_SHARD_LOCAL(sim) conn::ComponentTracker tracker_;
   QUORA_SHARD_LOCAL(sim) rng::Xoshiro256ss gen_;
-  QUORA_SHARD_LOCAL(sim) EventQueue queue_;
+  QUORA_SHARD_LOCAL(sim) EventQueue<Event> queue_;
   QUORA_SHARD_LOCAL(sim) double now_ = 0.0;
   double access_interarrival_ = 0.0;  // mu_access / n: merged process mean
 

@@ -1,8 +1,6 @@
 // Unit tests for sim::for_each_batch, the library's fan-out idiom:
 // serial fallback, exactly-once dispatch when batches are scarcer than
 // workers, and first-exception-wins rethrow on the caller's thread.
-// Plus sim::ShardSet, which applies that idiom to intra-batch parallel
-// stepping and must be bit-identical to the serial shard order.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +9,11 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "net/builders.hpp"
 #include "sim/batch.hpp"
-#include "sim/shard_set.hpp"
 
 namespace quora {
 namespace {
@@ -118,67 +115,6 @@ TEST(ForEachBatch, FirstExceptionWins) {
 
 TEST(ForEachBatch, DefaultThreadCountIsPositive) {
   EXPECT_GE(sim::default_thread_count(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// ShardSet: intra-batch parallel stepping over independent shards.
-
-bool counters_equal(const sim::Simulator::Counters& a,
-                    const sim::Simulator::Counters& b) {
-  return a.accesses == b.accesses && a.site_failures == b.site_failures &&
-         a.site_recoveries == b.site_recoveries &&
-         a.link_failures == b.link_failures &&
-         a.link_recoveries == b.link_recoveries;
-}
-
-TEST(ShardSet, ParallelRunMatchesSerialBitwise) {
-  const net::Topology topo = net::make_erdos_renyi(20, 0.3, 5);
-  const sim::SimConfig config;  // paper defaults
-  const sim::AccessSpec spec;
-  constexpr std::uint32_t kShards = 6;
-  constexpr std::uint64_t kAccesses = 2000;
-
-  sim::ShardSet serial(topo, config, spec, 31415, kShards);
-  sim::ShardSet parallel(topo, config, spec, 31415, kShards);
-  serial.run_accesses(kAccesses, 1);
-  parallel.run_accesses(kAccesses, 4);
-
-  for (std::uint32_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(serial.shard(i).now(), parallel.shard(i).now()) << "shard " << i;
-    EXPECT_TRUE(counters_equal(serial.shard(i).counters(),
-                               parallel.shard(i).counters()))
-        << "shard " << i;
-  }
-  EXPECT_TRUE(counters_equal(serial.aggregate_counters(),
-                             parallel.aggregate_counters()));
-}
-
-TEST(ShardSet, ShardsAreIndependentReplications) {
-  const net::Topology topo = net::make_ring(15);
-  sim::ShardSet set(topo, sim::SimConfig{}, sim::AccessSpec{}, 7, 3);
-  set.run_accesses(1000, 1);
-  // Distinct RNG streams: the shards' clocks are continuous draws from
-  // disjoint subsequences and cannot coincide.
-  EXPECT_NE(set.shard(0).now(), set.shard(1).now());
-  EXPECT_NE(set.shard(1).now(), set.shard(2).now());
-  const sim::Simulator::Counters agg = set.aggregate_counters();
-  EXPECT_EQ(agg.accesses, 3000u);
-}
-
-TEST(ShardSet, Stream0OffsetsTheStreamWindow) {
-  // Shard i of a set started at stream0=s replays shard i+s of a set
-  // started at stream0=0: the window is a pure offset, so shard results
-  // are reusable across differently-partitioned runs.
-  const net::Topology topo = net::make_ring(15);
-  sim::ShardSet base(topo, sim::SimConfig{}, sim::AccessSpec{}, 99, 4, 0);
-  sim::ShardSet offset(topo, sim::SimConfig{}, sim::AccessSpec{}, 99, 2, 2);
-  base.run_accesses(500, 1);
-  offset.run_accesses(500, 1);
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(base.shard(2 + i).now(), offset.shard(i).now());
-    EXPECT_TRUE(counters_equal(base.shard(2 + i).counters(),
-                               offset.shard(i).counters()));
-  }
 }
 
 } // namespace

@@ -1,23 +1,52 @@
-// sim::EventQueue ordering and lifecycle. The simulator's bitwise
-// reproducibility rests on the queue's (time, seq) total order, and the
-// batch driver leans on clear() returning the queue to a truly fresh
-// state — both are pinned here.
+// sim::EventQueue ordering, removal and lifecycle. The simulator's bitwise
+// reproducibility rests on the queue's (time, seq) total order, batch
+// replays rely on clear() returning the queue to a truly fresh state, and
+// msg::Cluster's model mode removes events by seq and by predicate from
+// queues the explorer copies by value — all of it is pinned here.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "rng/distributions.hpp"
+#include "rng/xoshiro256ss.hpp"
 #include "sim/event.hpp"
 
 namespace {
 
 using namespace quora;
 
+using Queue = sim::EventQueue<sim::Event>;
+
+sim::Event at(double time, std::uint32_t index) {
+  return {time, 0, sim::EventKind::kAccess, index};
+}
+
+std::vector<sim::Event> drain(Queue& q) {
+  std::vector<sim::Event> out;
+  while (!q.empty()) out.push_back(q.pop());
+  return out;
+}
+
+void expect_same_events(const std::vector<sim::Event>& a,
+                        const std::vector<sim::Event>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time, b[i].time) << "at " << i;
+    EXPECT_EQ(a[i].seq, b[i].seq) << "at " << i;
+    EXPECT_EQ(a[i].index, b[i].index) << "at " << i;
+  }
+}
+
 TEST(EventQueue, OrdersByTime) {
-  sim::EventQueue q;
-  q.push(3.0, sim::EventKind::kAccess, 30);
-  q.push(1.0, sim::EventKind::kAccess, 10);
-  q.push(2.0, sim::EventKind::kAccess, 20);
+  Queue q;
+  q.push(at(3.0, 30));
+  q.push(at(1.0, 10));
+  q.push(at(2.0, 20));
   EXPECT_EQ(q.pop().index, 10u);
   EXPECT_EQ(q.pop().index, 20u);
   EXPECT_EQ(q.pop().index, 30u);
@@ -28,13 +57,13 @@ TEST(EventQueue, EqualTimesPopInInsertionOrder) {
   // The deterministic tie-break: same timestamp resolves by seq, i.e.
   // FIFO. Interleave distinct times to make sure ties hold under heap
   // restructuring, not just in a trivially sorted run.
-  sim::EventQueue q;
-  q.push(5.0, sim::EventKind::kSiteFail, 0);
-  q.push(5.0, sim::EventKind::kSiteRecover, 1);
-  q.push(1.0, sim::EventKind::kAccess, 2);
-  q.push(5.0, sim::EventKind::kLinkFail, 3);
-  q.push(2.0, sim::EventKind::kAccess, 4);
-  q.push(5.0, sim::EventKind::kLinkRecover, 5);
+  Queue q;
+  q.push({5.0, 0, sim::EventKind::kSiteFail, 0});
+  q.push({5.0, 0, sim::EventKind::kSiteRecover, 1});
+  q.push({1.0, 0, sim::EventKind::kAccess, 2});
+  q.push({5.0, 0, sim::EventKind::kLinkFail, 3});
+  q.push({2.0, 0, sim::EventKind::kAccess, 4});
+  q.push({5.0, 0, sim::EventKind::kLinkRecover, 5});
 
   EXPECT_EQ(q.pop().index, 2u);
   EXPECT_EQ(q.pop().index, 4u);
@@ -45,7 +74,9 @@ TEST(EventQueue, EqualTimesPopInInsertionOrder) {
   while (!q.empty()) {
     const sim::Event e = q.pop();
     EXPECT_DOUBLE_EQ(e.time, 5.0);
-    if (!first) EXPECT_GT(e.seq, prev_seq);
+    if (!first) {
+      EXPECT_GT(e.seq, prev_seq);
+    }
     prev_seq = e.seq;
     first = false;
     tied.push_back(e.index);
@@ -54,10 +85,8 @@ TEST(EventQueue, EqualTimesPopInInsertionOrder) {
 }
 
 TEST(EventQueue, ClearReleasesCapacityAndRestartsSeq) {
-  sim::EventQueue q;
-  for (int i = 0; i < 1000; ++i) {
-    q.push(static_cast<double>(i), sim::EventKind::kAccess, 0);
-  }
+  Queue q;
+  for (int i = 0; i < 1000; ++i) q.push(at(static_cast<double>(i), 0));
   ASSERT_GE(q.capacity(), 1000u);
 
   q.clear();
@@ -70,8 +99,8 @@ TEST(EventQueue, ClearReleasesCapacityAndRestartsSeq) {
   // Sequence numbers restart from zero, so a cleared-and-refilled queue
   // breaks ties exactly like a freshly constructed one (Simulator::reset
   // depends on this for exact replay).
-  q.push(7.0, sim::EventKind::kAccess, 100);
-  q.push(7.0, sim::EventKind::kAccess, 200);
+  q.push(at(7.0, 100));
+  q.push(at(7.0, 200));
   const sim::Event a = q.pop();
   const sim::Event b = q.pop();
   EXPECT_EQ(a.seq, 0u);
@@ -81,28 +110,124 @@ TEST(EventQueue, ClearReleasesCapacityAndRestartsSeq) {
 }
 
 TEST(EventQueue, ReusedAfterClearMatchesFreshQueue) {
-  sim::EventQueue used;
+  Queue used;
   for (int i = 0; i < 64; ++i) {
-    used.push(64.0 - i, sim::EventKind::kAccess, static_cast<std::uint32_t>(i));
+    used.push(at(64.0 - i, static_cast<std::uint32_t>(i)));
   }
   while (!used.empty()) used.pop();
   used.clear();
 
-  sim::EventQueue fresh;
+  Queue fresh;
   for (int i = 0; i < 64; ++i) {
     const double t = (i * 37) % 64;  // scrambled but identical for both
-    used.push(t, sim::EventKind::kAccess, static_cast<std::uint32_t>(i));
-    fresh.push(t, sim::EventKind::kAccess, static_cast<std::uint32_t>(i));
+    used.push(at(t, static_cast<std::uint32_t>(i)));
+    fresh.push(at(t, static_cast<std::uint32_t>(i)));
   }
-  while (!fresh.empty()) {
-    ASSERT_FALSE(used.empty());
-    const sim::Event eu = used.pop();
-    const sim::Event ef = fresh.pop();
-    EXPECT_EQ(eu.time, ef.time);
-    EXPECT_EQ(eu.seq, ef.seq);
-    EXPECT_EQ(eu.index, ef.index);
+  expect_same_events(drain(used), drain(fresh));
+}
+
+TEST(EventQueue, RandomOpsMatchSortedReference) {
+  // Differential check of every mutating operation against a plain
+  // vector kept sorted by (time, seq). Times come from a small grid so
+  // ties are frequent and the seq tie-break is exercised throughout.
+  const auto key_less = [](const sim::Event& a, const sim::Event& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  };
+  rng::Xoshiro256ss gen(20261017);
+  Queue q;
+  std::vector<sim::Event> ref;
+  std::uint64_t next_seq = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng::uniform_index(gen, 10);
+    if (op < 5 || ref.empty()) {  // push
+      const auto index = static_cast<std::uint32_t>(rng::uniform_index(gen, 1000));
+      const sim::Event e{static_cast<double>(rng::uniform_index(gen, 32)),
+                         next_seq++, sim::EventKind::kAccess, index};
+      q.push({e.time, 0, e.kind, e.index});
+      ref.insert(std::upper_bound(ref.begin(), ref.end(), e, key_less), e);
+    } else if (op < 7) {  // pop
+      const sim::Event e = q.pop();
+      ASSERT_EQ(e.seq, ref.front().seq) << "step " << step;
+      ASSERT_EQ(e.index, ref.front().index) << "step " << step;
+      ref.erase(ref.begin());
+    } else if (op < 9) {  // remove by seq: a pending one, or one long gone
+      const std::uint64_t seq =
+          rng::uniform_index(gen, 4) == 0
+              ? rng::uniform_index(gen, next_seq)
+              : ref[rng::uniform_index(gen, ref.size())].seq;
+      const auto it = std::find_if(ref.begin(), ref.end(), [seq](const sim::Event& e) {
+        return e.seq == seq;
+      });
+      const std::optional<sim::Event> removed = q.remove(seq);
+      ASSERT_EQ(removed.has_value(), it != ref.end()) << "step " << step;
+      if (removed) {
+        EXPECT_EQ(removed->index, it->index);
+        ref.erase(it);
+      }
+    } else {  // remove by predicate
+      const std::uint64_t residue = rng::uniform_index(gen, 7);
+      const auto pred = [residue](const sim::Event& e) {
+        return e.index % 7 == residue;
+      };
+      const auto kept = std::remove_if(ref.begin(), ref.end(), pred);
+      const auto expected = static_cast<std::size_t>(ref.end() - kept);
+      ref.erase(kept, ref.end());
+      ASSERT_EQ(q.remove_if(pred), expected) << "step " << step;
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    if (!ref.empty()) {
+      ASSERT_EQ(q.top().seq, ref.front().seq) << "step " << step;
+    }
   }
-  EXPECT_TRUE(used.empty());
+  expect_same_events(drain(q), ref);
+}
+
+TEST(EventQueue, RemovingAnAbsentSeqChangesNothing) {
+  Queue q;
+  for (std::uint32_t i = 0; i < 40; ++i) q.push(at((i * 13) % 17, i));
+  const std::uint64_t popped = q.pop().seq;
+  const Queue before = q;
+
+  EXPECT_FALSE(q.remove(popped).has_value());  // already fired
+  EXPECT_FALSE(q.remove(40).has_value());      // never stamped
+  EXPECT_EQ(q.remove_if([](const sim::Event&) { return false; }), 0u);
+  const std::span<const sim::Event> now = q.pending();
+  const std::span<const sim::Event> was = before.pending();
+  EXPECT_TRUE(std::equal(now.begin(), now.end(), was.begin(), was.end(),
+                         [](const sim::Event& a, const sim::Event& b) {
+                           return a.seq == b.seq;
+                         }));
+  Queue reference = before;
+  expect_same_events(drain(q), drain(reference));
+}
+
+TEST(EventQueue, CopyPopsIndependentlyOfItsSource) {
+  // The model checker snapshots clusters (and so their queues) by value.
+  Queue source;
+  for (std::uint32_t i = 0; i < 50; ++i) source.push(at(1 + (i * 7) % 11, i));
+  Queue copy = source;
+
+  ASSERT_TRUE(copy.remove(3).has_value());
+  copy.push(at(0.5, 999));
+  source.pop();
+  EXPECT_EQ(source.size(), 49u);
+  EXPECT_EQ(copy.size(), 50u);
+
+  // Each continues its own copy of the seq counter.
+  source.push(at(0.25, 500));
+  EXPECT_EQ(source.top().seq, 50u);
+  EXPECT_EQ(copy.top().seq, 50u);
+
+  const std::vector<sim::Event> from_copy = drain(copy);
+  ASSERT_FALSE(from_copy.empty());
+  EXPECT_EQ(from_copy.front().index, 999u);
+  EXPECT_TRUE(std::none_of(from_copy.begin(), from_copy.end(),
+                           [](const sim::Event& e) { return e.seq == 3; }));
+  const std::vector<sim::Event> from_source = drain(source);
+  EXPECT_EQ(from_source.size(), 50u);
+  EXPECT_EQ(from_source.front().index, 500u);
+  EXPECT_TRUE(std::any_of(from_source.begin(), from_source.end(),
+                          [](const sim::Event& e) { return e.seq == 3; }));
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "conn/component_tracker.hpp"
@@ -23,6 +24,11 @@ struct TopologyCase {
   std::string label;
   std::function<net::Topology()> make;
 };
+
+/// Print the label, not gtest's default byte dump: those bytes hold heap
+/// addresses, which would put a different test name in the listing (and
+/// so in ctest) on every run.
+void PrintTo(const TopologyCase& c, std::ostream* os) { *os << c.label; }
 
 class InvariantSweep : public ::testing::TestWithParam<TopologyCase> {};
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
+#include "io/cli_args.hpp"
 #include "io/topology_io.hpp"
 #include "net/builders.hpp"
 
@@ -309,6 +311,21 @@ TEST(TopologyIo, SaveLoadRoundTripsDomainsAndLatencies) {
                      original.link_latency(l).jitter);
   }
   EXPECT_EQ(reloaded.regions(), original.regions());
+}
+
+TEST(CliArgs, ParseUintTakesOnlyWholeUnsignedTokensInRange) {
+  EXPECT_EQ(parse_uint("0", 0, 64), 0u);
+  EXPECT_EQ(parse_uint("64", 0, 64), 64u);
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, ~std::uint64_t{0}),
+            ~std::uint64_t{0});
+  EXPECT_EQ(parse_uint("0x10", 0, 100, 0), 16u);
+  // A sign, whitespace, a trailing character, a base prefix in base 10,
+  // out of range, or past 2^64-1.
+  for (const char* bad : {"", "-1", "+5", " 5", "5x", "5 ", "0x10", "65",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_uint(bad, 0, 64), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(parse_uint("0", 1, 256), std::invalid_argument);
 }
 
 } // namespace

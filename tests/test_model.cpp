@@ -7,11 +7,13 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "io/config_audit.hpp"
 #include "io/topology_io.hpp"
 #include "model/explorer.hpp"
 #include "model/scope.hpp"
+#include "msg/cluster.hpp"
 
 namespace {
 
@@ -179,6 +181,50 @@ TEST(ModelExplorer, DporAgreesWithFullExploration) {
   EXPECT_GT(with_dpor.stats().sleep_pruned, 0u);
   EXPECT_EQ(without.stats().sleep_pruned, 0u);
   EXPECT_LE(with_dpor.stats().transitions, without.stats().transitions);
+}
+
+TEST(ModelExplorer, ShippedSweepScopeTraversalIsPinned) {
+  // Exact counts for the shipped sweep scope. The DFS order rests on
+  // model_enabled_events() enumerating in seq order, so a change to the
+  // enumeration order (or to the state encoding) moves these numbers.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  Explorer with_dpor(scope, Options{/*dpor=*/true});
+  ASSERT_FALSE(with_dpor.run().has_value());
+  const quora::model::Stats& s = with_dpor.stats();
+  EXPECT_EQ(s.explored, 25615u);
+  EXPECT_EQ(s.unique_states, 9347u);
+  EXPECT_EQ(s.transitions, 25614u);
+  EXPECT_EQ(s.visited_hits, 12862u);
+  EXPECT_EQ(s.sleep_pruned, 13386u);
+
+  Explorer without(scope, Options{/*dpor=*/false});
+  ASSERT_FALSE(without.run().has_value());
+  EXPECT_EQ(without.stats().explored, 28892u);
+  EXPECT_EQ(without.stats().unique_states, 9347u);
+}
+
+TEST(ModelHooks, EnabledEventsComeInSeqOrder) {
+  // The explorer's DFS order and its per-descriptor occurrence numbering
+  // assume ascending seq. Walk tiny_line's cluster a few steps, firing
+  // the middle enabled event each time so the pending set keeps mixing.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  quora::msg::Cluster::Params params;
+  params.model_mode = true;
+  params.spec = scope.chaos.quorum;
+  quora::msg::Cluster cluster(scope.chaos.system->topology, params, 1);
+  cluster.model_submit_access(0, /*is_read=*/false);
+  cluster.model_submit_access(2, /*is_read=*/true);
+  for (int step = 0; step < 5; ++step) {
+    const std::vector<quora::msg::Cluster::ModelEvent> events =
+        cluster.model_enabled_events();
+    ASSERT_GE(events.size(), 2u) << "step " << step;
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq) << "step " << step;
+    }
+    ASSERT_TRUE(cluster.model_step_event(events[events.size() / 2].seq));
+  }
 }
 
 TEST(ModelExplorer, StateBudgetCapsAreReported) {

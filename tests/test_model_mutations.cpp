@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,18 +39,33 @@ bool has_code(const Violation& v, const std::string& code) {
   return std::find(codes.begin(), codes.end(), code) != codes.end();
 }
 
-void expect_detected(const char* fixture, const std::string& code) {
+/// What the DFS must do on a fixture, exactly: states explored and unique,
+/// then the minimized and original counterexample lengths. A change to
+/// the explorer's enumeration order moves these.
+struct Traversal {
+  std::uint64_t explored;
+  std::uint64_t unique_states;
+  std::size_t minimized_steps;
+  std::size_t trace_steps;
+};
+
+void expect_detected(const char* fixture, const std::string& code,
+                     const Traversal& expected) {
   const Scope scope = load_fixture(fixture);
   Explorer explorer(scope);
   const auto violation = explorer.run();
   ASSERT_TRUE(violation.has_value()) << fixture << ": mutation not detected";
   EXPECT_TRUE(has_code(*violation, code)) << fixture;
+  EXPECT_EQ(explorer.stats().explored, expected.explored) << fixture;
+  EXPECT_EQ(explorer.stats().unique_states, expected.unique_states) << fixture;
 
   // Minimization must end on a trace that still replays to (at least)
   // the same violation codes, never longer than what the DFS found.
   const std::vector<quora::model::Choice> minimized =
       explorer.minimize(*violation);
   ASSERT_LE(minimized.size(), violation->trace.size());
+  EXPECT_EQ(minimized.size(), expected.minimized_steps) << fixture;
+  EXPECT_EQ(violation->trace.size(), expected.trace_steps) << fixture;
   const auto replayed = explorer.replay(minimized);
   ASSERT_TRUE(replayed.has_value()) << fixture << ": minimized trace dead";
   EXPECT_TRUE(has_code(*replayed, code)) << fixture;
@@ -74,13 +91,17 @@ void expect_clean(const char* fixture, std::uint64_t states_budget) {
 TEST(SeededMutations, AcceptStaleQrIsDetectedAndReplays) {
   // Dropping the §2.2 stale-version rejection lets a reconnected minority
   // grant reads under a superseded assignment: [stale-assignment].
-  expect_detected("mutation_stale_qr.model", "stale-assignment");
+  expect_detected("mutation_stale_qr.model", "stale-assignment",
+                  {/*explored=*/898, /*unique_states=*/336, /*minimized=*/6,
+                   /*trace=*/6});
 }
 
 TEST(SeededMutations, SkipCrashCleanupIsDetectedAndReplays) {
   // Keeping a crashed coordinator's pending coordinations alive lets two
   // writes both commit version 1: [duplicate-version].
-  expect_detected("mutation_crash_cleanup.model", "duplicate-version");
+  expect_detected("mutation_crash_cleanup.model", "duplicate-version",
+                  {/*explored=*/164637, /*unique_states=*/93266,
+                   /*minimized=*/21, /*trace=*/24});
 }
 
 TEST(SeededMutations, StaleQrScopeIsSafeWithoutTheMutation) {

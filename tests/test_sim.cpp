@@ -265,10 +265,10 @@ TEST(Simulator, NetworkObserverSeesEveryChange) {
 }
 
 TEST(EventQueue, OrdersByTimeThenInsertion) {
-  EventQueue queue;
-  queue.push(2.0, EventKind::kAccess, 0);
-  queue.push(1.0, EventKind::kSiteFail, 1);
-  queue.push(1.0, EventKind::kLinkFail, 2);  // same time, later insertion
+  EventQueue<Event> queue;
+  queue.push({2.0, 0, EventKind::kAccess, 0});
+  queue.push({1.0, 0, EventKind::kSiteFail, 1});
+  queue.push({1.0, 0, EventKind::kLinkFail, 2});  // same time, later insertion
   const Event a = queue.pop();
   const Event b = queue.pop();
   const Event c = queue.pop();

@@ -4,10 +4,10 @@
 //   quora_bench --alloc-check [--quick] [--seed N]
 //
 // Runs a fixed-seed subset of the perf surface that the ROADMAP cares
-// about — event-queue churn (single-heap and sharded), component-tracker
-// refresh under link flips (dense word-parallel path on the 101-site
-// topologies, sparse CSR path on the 50k/250k scale points, plus a
-// 1M-site construct+rebuild smoke), and two end-to-end simulation
+// about — event-queue churn, component-tracker refresh under link flips
+// (dense word-parallel path on the 101-site topologies, sparse CSR path
+// on the 50k/250k scale points, plus a 1M-site construct+rebuild
+// smoke), and two end-to-end simulation
 // workloads (topology 256 and topology 4949) — and emits
 // machine-readable numbers: ns/op, accesses/sec,
 // tracker rebuilds/sec, and heap allocations observed by a global
@@ -50,7 +50,6 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "sim/event.hpp"
-#include "sim/sharded_queue.hpp"
 #include "sim/simulator.hpp"
 
 // ---------------------------------------------------------------------------
@@ -145,17 +144,17 @@ CaseResult run_case(const std::string& name, std::uint64_t items, Body body) {
 CaseResult bench_event_queue(const Options& opt) {
   const std::uint64_t n = opt.quick ? 1'000'000 : 20'000'000;
   return run_case("event_queue_churn", n, [&](std::uint64_t items, CaseResult&) {
-    sim::EventQueue queue;
+    sim::EventQueue<sim::Event> queue;
     rng::Xoshiro256ss gen(opt.seed);
     for (int i = 0; i < 4096; ++i) {
-      queue.push(gen.next_double(), sim::EventKind::kAccess, 0);
+      queue.push({gen.next_double(), 0, sim::EventKind::kAccess, 0});
     }
     double sink = 0.0;
     for (std::uint64_t i = 0; i < items; ++i) {
       const sim::Event e = queue.pop();
       sink += e.time;
-      queue.push(e.time + rng::exponential(gen, 1.0), sim::EventKind::kAccess,
-                 static_cast<std::uint32_t>(i & 0xff));
+      queue.push({e.time + rng::exponential(gen, 1.0), 0, sim::EventKind::kAccess,
+                  static_cast<std::uint32_t>(i & 0xff)});
     }
     if (sink < 0.0) std::abort();  // defeat dead-code elimination
   });
@@ -183,31 +182,6 @@ CaseResult bench_tracker(const Options& opt, const std::string& name,
     if (sink == 0xffffffff) std::abort();
     r.rebuilds = static_cast<double>(tracker.stats().full_rebuilds - rebuilds0);
     r.rebuilds_per_sec = 0.0;  // filled after wall_s is known, below
-  });
-}
-
-CaseResult bench_sharded_queue(const Options& opt) {
-  const std::uint64_t n = opt.quick ? 500'000 : 10'000'000;
-  return run_case("sharded_queue_churn", n,
-                  [&](std::uint64_t items, CaseResult&) {
-    // Same churn shape as event_queue_churn, spread over 16 shards; each
-    // pop is re-pushed into the shard it came from, so every shard heap
-    // holds a constant population and the global (time, shard, seq) merge
-    // is exercised on every operation.
-    constexpr std::uint32_t kShards = 16;
-    sim::ShardedEventQueue queue(kShards);
-    rng::Xoshiro256ss gen(opt.seed);
-    for (std::uint32_t i = 0; i < 4096; ++i) {
-      queue.push(i % kShards, gen.next_double(), sim::EventKind::kAccess, 0);
-    }
-    double sink = 0.0;
-    for (std::uint64_t i = 0; i < items; ++i) {
-      const sim::ShardEvent e = queue.pop();
-      sink += e.time;
-      queue.push(e.shard, e.time + rng::exponential(gen, 1.0),
-                 sim::EventKind::kAccess, static_cast<std::uint32_t>(i & 0xff));
-    }
-    if (sink < 0.0) std::abort();
   });
 }
 
@@ -293,10 +267,10 @@ int run_alloc_check(const Options& opt) {
     // sim::EventQueue push/pop (QUORA_HOT_PATH) at constant queue depth:
     // the pop hands a slot back before the next push, so the inline
     // allow(L006) on heap_.push_back must never reach the allocator.
-    sim::EventQueue queue;
+    sim::EventQueue<sim::Event> queue;
     rng::Xoshiro256ss gen(opt.seed);
     for (int i = 0; i < 4096; ++i) {
-      queue.push(gen.next_double(), sim::EventKind::kAccess, 0);
+      queue.push({gen.next_double(), 0, sim::EventKind::kAccess, 0});
     }
     const std::uint64_t iters = opt.quick ? 100'000 : 2'000'000;
     double sink = 0.0;
@@ -304,37 +278,12 @@ int run_alloc_check(const Options& opt) {
       for (std::uint64_t i = 0; i < iters; ++i) {
         const sim::Event e = queue.pop();
         sink += e.time;
-        queue.push(e.time + rng::exponential(gen, 1.0), sim::EventKind::kAccess,
-                   static_cast<std::uint32_t>(i & 0xff));
+        queue.push({e.time + rng::exponential(gen, 1.0), 0,
+                    sim::EventKind::kAccess, static_cast<std::uint32_t>(i & 0xff)});
       }
     });
     if (sink < 0.0) std::abort();
     checks.push_back({"event_queue_steady_state", n});
-  }
-
-  {
-    // sim::ShardedEventQueue push/pop (QUORA_HOT_PATH) at constant
-    // per-shard depth: pops are re-pushed into their shard of origin, so
-    // the inline allow(L006) on the per-shard heap growth must amortize
-    // to zero exactly like the single-heap queue's.
-    constexpr std::uint32_t kShards = 16;
-    sim::ShardedEventQueue queue(kShards);
-    rng::Xoshiro256ss gen(opt.seed ^ 3);
-    for (std::uint32_t i = 0; i < 4096; ++i) {
-      queue.push(i % kShards, gen.next_double(), sim::EventKind::kAccess, 0);
-    }
-    const std::uint64_t iters = opt.quick ? 100'000 : 2'000'000;
-    double sink = 0.0;
-    const std::uint64_t n = allocs_during([&] {
-      for (std::uint64_t i = 0; i < iters; ++i) {
-        const sim::ShardEvent e = queue.pop();
-        sink += e.time;
-        queue.push(e.shard, e.time + rng::exponential(gen, 1.0),
-                   sim::EventKind::kAccess, static_cast<std::uint32_t>(i & 0xff));
-      }
-    });
-    if (sink < 0.0) std::abort();
-    checks.push_back({"sharded_queue_steady_state", n});
   }
 
   {
@@ -525,7 +474,6 @@ int main(int argc, char** argv) {
 
   std::vector<CaseResult> cases;
   cases.push_back(bench_event_queue(opt));
-  cases.push_back(bench_sharded_queue(opt));
 
   // Tracker case sizing (satellite of ISSUE 8): ~1 µs/flip on the sparse
   // ring and ~2-20 µs/flip on the dense/scale topologies, so the counts

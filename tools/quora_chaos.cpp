@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,6 +65,7 @@
 #include "fault/event_log.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "io/cli_args.hpp"
 #include "io/config_audit.hpp"
 #include "msg/cluster.hpp"
 #include "msg/invariants.hpp"
@@ -79,7 +81,7 @@ using namespace quora;
       << "usage: quora_chaos [options] PLAN.chaos...\n"
          "  --seed N              override the plan's seed\n"
          "  --horizon T           override the plan's horizon (simulated time)\n"
-         "  --max-retries K       coordinator retry budget (default 2)\n"
+         "  --max-retries K       coordinator retry budget, 0-64 (default 2)\n"
          "  --log FILE            append every run's event log to FILE\n"
          "  --trace FILE          record a structured event trace of each plan's\n"
          "                        primary run (.json => Chrome trace_event)\n"
@@ -89,7 +91,8 @@ using namespace quora;
          "  --sweep               scenario-sweep mode: run every plan under\n"
          "                        --seeds consecutive seeds and report a\n"
          "                        per-region availability/latency table\n"
-         "  --seeds N             seeds per plan in --sweep/--race (default 3)\n"
+         "  --seeds N             seeds per plan in --sweep/--race, 1-100000\n"
+         "                        (default 3)\n"
          "  --report FILE         write the sweep/race aggregate as JSON\n"
          "  --adapt               attach the closed-loop quorum optimizer\n"
          "  --adapt-epoch T       controller epoch length (default 50)\n"
@@ -104,6 +107,9 @@ using namespace quora;
          "                        tail-half availability\n";
   std::exit(2);
 }
+
+/// Cap on --seeds: a typo'd count must fail, not start a days-long sweep.
+constexpr std::uint64_t kMaxSeeds = 100'000;
 
 struct Options {
   std::optional<std::uint64_t> seed;
@@ -587,11 +593,12 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--seed") {
-        opt.seed = std::stoull(value());
+        opt.seed = io::parse_uint(value(), 0, ~std::uint64_t{0});
       } else if (arg == "--horizon") {
         opt.horizon = std::stod(value());
       } else if (arg == "--max-retries") {
-        opt.max_retries = static_cast<std::uint32_t>(std::stoul(value()));
+        opt.max_retries = static_cast<std::uint32_t>(
+            io::parse_uint(value(), 0, msg::Cluster::Params::kMaxRetryBudget));
       } else if (arg == "--log") {
         opt.log_path = value();
       } else if (arg == "--trace") {
@@ -605,11 +612,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--sweep") {
         opt.sweep = true;
       } else if (arg == "--seeds") {
-        opt.sweep_seeds = static_cast<std::uint32_t>(std::stoul(value()));
-        if (opt.sweep_seeds == 0) {
-          std::cerr << "quora_chaos: --seeds needs at least 1\n";
-          usage();
-        }
+        opt.sweep_seeds =
+            static_cast<std::uint32_t>(io::parse_uint(value(), 1, kMaxSeeds));
       } else if (arg == "--report") {
         opt.report_path = value();
       } else if (arg == "--adapt") {
@@ -622,7 +626,8 @@ int main(int argc, char** argv) {
         opt.adapt_opts.threshold = std::stod(value());
       } else if (arg == "--adapt-dwell") {
         opt.adapt = true;
-        opt.adapt_opts.dwell = static_cast<std::uint32_t>(std::stoul(value()));
+        opt.adapt_opts.dwell = static_cast<std::uint32_t>(
+            io::parse_uint(value(), 1, std::numeric_limits<std::uint32_t>::max()));
       } else if (arg == "--adapt-min-write") {
         opt.adapt = true;
         opt.adapt_opts.objective =
@@ -643,8 +648,8 @@ int main(int argc, char** argv) {
       } else {
         opt.plans.push_back(arg);
       }
-    } catch (const std::exception&) {
-      std::cerr << "quora_chaos: bad value for " << arg << '\n';
+    } catch (const std::exception& e) {
+      std::cerr << "quora_chaos: bad value for " << arg << ": " << e.what() << '\n';
       usage();
     }
   }

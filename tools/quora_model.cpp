@@ -25,9 +25,11 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "io/cli_args.hpp"
 #include "model/chaos_emit.hpp"
 #include "model/explorer.hpp"
 #include "model/scope.hpp"
@@ -41,8 +43,9 @@ namespace {
          "                   [--emit-chaos FILE] [--quiet] SCOPE...\n"
          "  --no-dpor         explore without partial-order reduction\n"
          "                    (cross-validation: same verdict, more states)\n"
-         "  --depth N         override the scope's path-depth bound\n"
+         "  --depth N         override the scope's path-depth bound (1-256)\n"
          "  --states N        override the scope's visited-state budget\n"
+         "                    (1-100000000)\n"
          "  --mutate NAME     enable a seeded protocol mutation on top of\n"
          "                    the scope (accept-stale-qr |\n"
          "                    skip-crash-cleanup)\n"
@@ -54,14 +57,15 @@ namespace {
   std::exit(2);
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
+/// A --depth/--states override. It applies after the scope audit, so it is
+/// held to the audit's own bounds here; a bad value exits 2.
+std::uint64_t budget_flag(const std::string& flag, const std::string& token,
+                          std::uint64_t max) {
   try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
+    return quora::io::parse_uint(token, 1, max);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quora_model: bad value for " << flag << ": " << e.what() << '\n';
+    std::exit(2);
   }
 }
 
@@ -91,11 +95,9 @@ int main(int argc, char** argv) {
     if (arg == "--no-dpor") {
       options.dpor = false;
     } else if (arg == "--depth") {
-      depth_override = parse_u64(value());
-      if (!depth_override) usage();
+      depth_override = budget_flag(arg, value(), model::kMaxModelDepth);
     } else if (arg == "--states") {
-      states_override = parse_u64(value());
-      if (!states_override) usage();
+      states_override = budget_flag(arg, value(), model::kMaxModelStates);
     } else if (arg == "--mutate") {
       extra_mutations.push_back(value());
     } else if (arg == "--no-mutations") {
