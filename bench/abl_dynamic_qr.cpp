@@ -18,10 +18,10 @@
 #include <iostream>
 #include <vector>
 
+#include "adapt/access_loop.hpp"
 #include "common.hpp"
 #include "core/optimize.hpp"
 #include "core/reassign.hpp"
-#include "dyn/adaptive.hpp"
 #include "dyn/dynamic_voting.hpp"
 #include "metrics/collectors.hpp"
 #include "net/builders.hpp"
@@ -84,36 +84,24 @@ int main(int argc, char** argv) {
   ProtocolMeter m_majority(quora::metrics::static_decider(majority));
   ProtocolMeter m_rowa(quora::metrics::static_decider(rowa));
   ProtocolMeter m_static(quora::metrics::static_decider(static_avg));
-  std::uint64_t qr_safety_violations = 0;
-  const auto qr_decider = [&](quora::core::QuorumReassignment& qr) {
-    return [&](const quora::sim::Simulator& sim, const quora::sim::AccessEvent& ev) {
-      const auto type = ev.is_read ? quora::quorum::AccessType::kRead
-                                   : quora::quorum::AccessType::kWrite;
-      const auto decision = qr.request(sim.tracker(), ev.site, type);
-      if (decision.granted &&
-          qr.effective(sim.tracker(), ev.site).version != qr.latest_version()) {
-        ++qr_safety_violations;  // paper 2.2 safety argument says: impossible
-      }
-      return decision.granted;
-    };
-  };
-  ProtocolMeter m_qr_free(qr_decider(qr_free));
-  ProtocolMeter m_qr_safe(qr_decider(qr_safe));
+  std::uint64_t qr_safety_violations = 0;  // 2.2's safety argument: none
+  ProtocolMeter m_qr_free(quora::metrics::qr_decider(qr_free, qr_safety_violations));
+  ProtocolMeter m_qr_safe(quora::metrics::qr_decider(qr_safe, qr_safety_violations));
   ProtocolMeter m_dv([&](const quora::sim::Simulator& sim,
                          const quora::sim::AccessEvent& ev) {
     return dv.attempt_update(sim.tracker(), ev.site);
   });
-  // The "free" agent optimizes with no write floor and locks itself into
-  // read-one/write-all after the first read-heavy phase (installation is
-  // itself a write, and q_w = T makes further installs all but
+  // The "free" agent optimizes plain availability with no write floor and
+  // drifts into read-one/write-all in the read-heavy phases (installation
+  // is itself a write, and q_w = T makes further installs all but
   // impossible). The "safe" agent keeps write availability >= 20% so it
   // can keep reassigning -- the very enhancement 5.4 argues for.
-  quora::dyn::AdaptiveReassigner::Options free_opts;
-  free_opts.min_write_availability = 0.0;
-  quora::dyn::AdaptiveReassigner::Options safe_opts;
-  safe_opts.min_write_availability = 0.20;
-  quora::dyn::AdaptiveReassigner agent_free(topo, qr_free, free_opts);
-  quora::dyn::AdaptiveReassigner agent_safe(topo, qr_safe, safe_opts);
+  quora::adapt::AdaptiveController ctl_free(
+      topo.site_count(), total_votes, quora::bench::access_loop_options(config, 0.0));
+  quora::adapt::AdaptiveController ctl_safe(
+      topo.site_count(), total_votes, quora::bench::access_loop_options(config, 0.20));
+  quora::adapt::AccessLoop agent_free(topo, ctl_free, qr_free);
+  quora::adapt::AccessLoop agent_safe(topo, ctl_safe, qr_safe);
 
   quora::sim::AccessSpec spec;
   spec.alpha = 0.9;
@@ -174,9 +162,10 @@ int main(int argc, char** argv) {
                "assignment): "
             << qr_safety_violations << " (must be 0)\n"
             << "dynamic-voting committed updates: " << dv.committed_updates()
-            << "\n(QR+floor tracks each phase's optimum; QR with no write "
-               "floor installs ROWA once and can never reassign again -- "
-               "installation is itself a write. Any static assignment must "
-               "lose in at least one phase.)\n";
+            << "\n(QR+floor tracks each phase's optimum. QR with no write "
+               "floor installs ROWA and is stuck there: installation is "
+               "itself a write, so leaving needs every site up and connected "
+               "at an epoch boundary. Any static assignment must lose in at "
+               "least one phase.)\n";
   return qr_safety_violations == 0 ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "common.hpp"
 
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -60,17 +59,16 @@ std::uint64_t parse_uint(const char* prog, std::string_view flag,
   }
 }
 
+/// io::parse_double over (0, 1], exiting 2 like parse_uint.
 double parse_fraction(const char* prog, std::string_view flag,
                       std::string_view value, const char* expected) {
-  const std::string token(value);
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(token.c_str(), &end);
-  if (token.empty() || end != token.c_str() + token.size() || errno == ERANGE ||
-      !(parsed > 0.0 && parsed <= 1.0)) {
-    bad_value(prog, flag, value, expected);
+  try {
+    const double parsed = io::parse_double(value, 0.0, 1.0);
+    if (parsed > 0.0) return parsed;
+  } catch (const std::invalid_argument&) {
+    // Reported below, in the flag's own words.
   }
-  return parsed;
+  bad_value(prog, flag, value, expected);
 }
 
 /// Append one case to a quora-bench/1 JSON report, creating the file (and
@@ -278,6 +276,21 @@ metrics::CurveResult run_figure(const net::Topology& topo, const std::string& ti
   }
   std::cout << '\n';
   return result;
+}
+
+adapt::AdaptiveController::Options access_loop_options(const sim::SimConfig& config,
+                                                       double min_write) {
+  adapt::AdaptiveController::Options opts;
+  opts.epoch_length = 20.0;
+  opts.threshold = 0.01;
+  opts.dwell = 1;
+  opts.forget = 0.5;
+  opts.site_reliability = config.reliability;
+  if (min_write > 0.0) {
+    opts.objective = adapt::AdaptiveController::Objective::kWriteConstrained;
+    opts.min_write_availability = min_write;
+  }
+  return opts;
 }
 
 } // namespace quora::bench

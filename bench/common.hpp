@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "adapt/controller.hpp"
 #include "metrics/experiment.hpp"
 #include "net/topology.hpp"
 #include "sim/config.hpp"
@@ -58,5 +59,14 @@ metrics::MeasurePolicy to_policy(const RunScale& scale);
 /// optionally dump CSV. Returns the measured curves for extra reporting.
 metrics::CurveResult run_figure(const net::Topology& topo, const std::string& title,
                                 const RunScale& scale);
+
+/// Controller settings of the access-level adaptive loop in the DYNQ, GRAD
+/// and DSURV benches: epochs of about 2000 accesses on 101 sites, install
+/// on the first epoch whose predicted gain clears 1%, half the evidence
+/// forgotten per epoch, footnote-4 read-out at `config.reliability`. A
+/// positive `min_write` selects the §5.4 write-constrained objective with
+/// that floor; 0 selects plain availability.
+adapt::AdaptiveController::Options access_loop_options(const sim::SimConfig& config,
+                                                       double min_write);
 
 } // namespace quora::bench

@@ -49,12 +49,6 @@ public:
     double min_samples = 64.0;
     /// Per-epoch histogram decay; 1 = cumulative, < 1 tracks drift.
     double forget = 1.0;
-    /// Also sample component votes on every message delivery (not just at
-    /// access submission). Delivery sampling weights states by traffic
-    /// carried, biasing the estimate toward well-connected periods; the
-    /// default samples at Poisson access instants, which see time
-    /// averages (PASTA) and converge to the closed-form f_i(v).
-    bool sample_deliveries = false;
 
     /// Throws std::invalid_argument on out-of-range knobs.
     void validate() const;

@@ -42,6 +42,16 @@ LiveNetwork::LiveNetwork(const net::Topology& topo,
   }
 }
 
+std::optional<net::SiteId> LiveNetwork::first_up_site() const noexcept {
+  for (std::size_t w = 0; w < site_words_.size(); ++w) {
+    if (site_words_[w] != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(site_words_[w]));
+      return static_cast<net::SiteId>(w * bits::kWordBits + bit);
+    }
+  }
+  return std::nullopt;
+}
+
 bool LiveNetwork::set_site_up(net::SiteId s, bool up) {
   std::uint8_t& flag = site_up_.at(s);
   if ((flag != 0) == up) return false;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -121,6 +122,9 @@ public:
   void reset_all_up();
 
   std::uint32_t up_site_count() const noexcept { return up_sites_; }
+  /// Lowest-numbered operational site, or nullopt when every site is
+  /// down: the deterministic install origin of the adaptive loop.
+  std::optional<net::SiteId> first_up_site() const noexcept;
   std::uint32_t up_link_count() const noexcept { return up_links_; }
 
   /// Monotone counter, bumped by every effective state change.

@@ -13,11 +13,13 @@
 ///  - `QUORA_INVARIANT` guards a structural property that must hold on
 ///    every exit path (postconditions included).
 /// All three are active in Debug builds and in sanitizer builds
-/// (`QUORA_SANITIZE` defines `QUORA_ENABLE_CONTRACTS=1`), and compile to
-/// `((void)0)` in plain Release builds — so contract expressions must be
-/// side-effect free. API-level validation that users can trigger with bad
-/// input stays as thrown exceptions; contracts cover what should be
-/// impossible once that validation passed.
+/// (`QUORA_SANITIZE` defines `QUORA_ENABLE_CONTRACTS=1`). In plain Release
+/// builds the expression moves into an unevaluated `sizeof` operand: it
+/// never runs — so contract expressions must be side-effect free — yet a
+/// variable read only by a contract still counts as used, so Release warns
+/// about exactly what Debug warns about. API-level validation that users
+/// can trigger with bad input stays as thrown exceptions; contracts cover
+/// what should be impossible once that validation passed.
 ///
 /// `QUORA_ENABLE_CONTRACTS` may be pre-defined (0 or 1) by the build
 /// system to override the NDEBUG default.
@@ -56,7 +58,8 @@ inline constexpr bool kActive = QUORA_ENABLE_CONTRACTS != 0;
           : ::quora::contracts::violation_handler(kind, #expr, __FILE__,     \
                                                   __LINE__, msg))
 #else
-#define QUORA_CONTRACT_CHECK_(kind, expr, msg) static_cast<void>(0)
+#define QUORA_CONTRACT_CHECK_(kind, expr, msg) \
+  static_cast<void>(sizeof((expr) ? 1 : 0))
 #endif
 
 /// A local algorithmic step that must hold at this point.

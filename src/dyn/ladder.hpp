@@ -15,7 +15,7 @@ namespace quora::dyn {
 ///
 /// The ladder is the canonical family q_w = T - q_r + 1 ordered by q_r.
 /// Instead of re-estimating the component-size distribution (the
-/// AdaptiveReassigner's strategy), the agent watches *denials*: a burst
+/// strategy of `adapt::AccessLoop`), the agent watches *denials*: a burst
 /// of read denials is evidence q_r is too high, a burst of write denials
 /// that q_w is (i.e. q_r too low). When one side's denial share crosses a
 /// threshold, the agent steps the assignment one rung in the helpful

@@ -447,21 +447,21 @@ FaultPlan& FaultPlan::access(double t, net::SiteId origin, bool is_read) {
 FaultPlan& FaultPlan::drop(double from, double until, double p,
                            net::LinkId link) {
   rules_.push_back(MessageRule{MessageRule::Kind::kDrop, from, until, p, 0.0,
-                               link});
+                               link, {}, {}});
   return *this;
 }
 
 FaultPlan& FaultPlan::delay(double from, double until, double p,
                             double mean_extra, net::LinkId link) {
   rules_.push_back(MessageRule{MessageRule::Kind::kDelay, from, until, p,
-                               mean_extra, link});
+                               mean_extra, link, {}, {}});
   return *this;
 }
 
 FaultPlan& FaultPlan::duplicate(double from, double until, double p,
                                 net::LinkId link) {
   rules_.push_back(MessageRule{MessageRule::Kind::kDuplicate, from, until, p,
-                               0.0, link});
+                               0.0, link, {}, {}});
   return *this;
 }
 

@@ -15,4 +15,11 @@ namespace quora::io {
 std::uint64_t parse_uint(std::string_view token, std::uint64_t min,
                          std::uint64_t max, int base = 10);
 
+/// The floating-point counterpart: the whole token must be a finite number
+/// in [min, max]. Leading whitespace, trailing characters, "nan", "inf" and
+/// values that overflow or underflow are rejected — std::stod reads "5x"
+/// as 5. Throws std::invalid_argument("expects a number in [MIN, MAX], got
+/// \"TOKEN\"") for the caller to prefix with the flag.
+double parse_double(std::string_view token, double min, double max);
+
 } // namespace quora::io

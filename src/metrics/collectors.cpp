@@ -96,4 +96,18 @@ ProtocolMeter::Decide static_decider(const quorum::QuorumConsensus& engine) {
   };
 }
 
+ProtocolMeter::Decide qr_decider(const core::QuorumReassignment& qr,
+                                 std::uint64_t& stale_grants) {
+  return [&qr, &stale_grants](const sim::Simulator& sim, const sim::AccessEvent& ev) {
+    const auto type =
+        ev.is_read ? quorum::AccessType::kRead : quorum::AccessType::kWrite;
+    const bool granted = qr.request(sim.tracker(), ev.site, type).granted;
+    if (granted &&
+        qr.effective(sim.tracker(), ev.site).version != qr.latest_version()) {
+      ++stale_grants;
+    }
+    return granted;
+  };
+}
+
 } // namespace quora::metrics

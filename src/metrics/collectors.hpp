@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "core/component_dist.hpp"
+#include "core/reassign.hpp"
 #include "quorum/protocols.hpp"
 #include "sim/simulator.hpp"
 #include "stats/histogram.hpp"
@@ -93,5 +95,12 @@ private:
 
 /// Adapter: meter a static quorum consensus engine.
 ProtocolMeter::Decide static_decider(const quorum::QuorumConsensus& engine);
+
+/// Adapter: meter accesses decided under the QR protocol, adding to
+/// `stale_grants` each grant made under a superseded assignment (§2.2's
+/// safety argument says there are none). Both referents must outlive the
+/// meter.
+ProtocolMeter::Decide qr_decider(const core::QuorumReassignment& qr,
+                                 std::uint64_t& stale_grants);
 
 } // namespace quora::metrics

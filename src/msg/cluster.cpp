@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -594,13 +595,6 @@ void Cluster::handle_delivery(const Event& e) {
   // receiver behind it adopts before acting.
   maybe_adopt(here, m);
 
-  // Optional estimator tap at delivery instants. Off by default: deliveries
-  // cluster in well-connected periods, so this sample is size-biased toward
-  // large components (unlike the PASTA-clean access tap).
-  if (adaptive_ != nullptr && adaptive_->options().sample_deliveries) {
-    adaptive_->histogram().record(here, tracker_.component_votes(here));
-  }
-
   switch (m.kind) {
     case Message::Kind::kVoteRequest: {
       const std::uint64_t fk = flood_key(m.request, 1);
@@ -1135,7 +1129,7 @@ void Cluster::handle_adapt_epoch() {
   const std::size_t end = outcomes_.size();
   std::uint64_t granted = 0;
   for (std::size_t i = adapt_window_start_; i < end; ++i) {
-    granted += outcomes_[i].granted ? 1 : 0;
+    if (outcomes_[i].granted) ++granted;
   }
   const std::size_t window = end - adapt_window_start_;
   const double window_avail =
@@ -1155,16 +1149,8 @@ void Cluster::handle_adapt_epoch() {
   // The loop's view of "current" is the assignment in effect at the
   // lowest-numbered operational site — the same site that would originate
   // an install, so prediction and installation agree on the baseline.
-  net::SiteId origin = 0;
-  bool any_up = false;
-  for (net::SiteId s = 0; s < topo_->site_count(); ++s) {
-    if (live_.is_site_up(s)) {
-      origin = s;
-      any_up = true;
-      break;
-    }
-  }
-  if (any_up) {
+  if (const std::optional<net::SiteId> up = live_.first_up_site()) {
+    const net::SiteId origin = *up;
     const quorum::QuorumSpec current = qr_.effective(tracker_, origin).spec;
     const adapt::AdaptiveController::Decision d =
         adaptive_->epoch(params_.alpha, current);

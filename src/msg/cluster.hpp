@@ -170,11 +170,10 @@ public:
   /// simulator events (one every `epoch_length` simulated seconds, the
   /// first one epoch from now) and starts feeding the per-site vote
   /// histogram: every access submitted at an operational site records its
-  /// component's vote total (and, with `sample_deliveries`, so does every
-  /// delivered message at its receiving site). When an epoch's decision
-  /// clears the hysteresis gate, the §2.2 QR install machinery runs from
-  /// the lowest-numbered operational site, exactly like a scripted
-  /// reassign action. Detached (the default), nothing here executes and
+  /// component's vote total. When an epoch's decision clears the
+  /// hysteresis gate, the §2.2 QR install machinery runs from the
+  /// lowest-numbered operational site, exactly like a scripted reassign
+  /// action. Detached (the default), nothing here executes and
   /// transcripts are byte-identical to pre-adaptive builds.
   void attach_adaptive(adapt::AdaptiveController* controller);
 

@@ -313,6 +313,10 @@ TEST(LintScope, MapsRepoLayersToChecks) {
   EXPECT_TRUE(sim.raw_obs);
   EXPECT_FALSE(sim.concurrency);  // the parallel simulator may synchronize
 
+  // The adaptive loop decides installs; its replay must be seed-exact.
+  const CheckScope adapt = scope_for_path("src/adapt/access_loop.cpp", false);
+  EXPECT_TRUE(adapt.entropy);
+
   const CheckScope fault = scope_for_path("src/fault/plan.cpp", false);
   EXPECT_TRUE(fault.entropy);
   EXPECT_TRUE(fault.unordered);

@@ -1,18 +1,14 @@
-// Tests for the dyn module: the Jajodia-Mutchler dynamic-voting baseline
-// and the adaptive reassignment agent closing the §4.3 loop.
+// Tests for the dyn module: the Jajodia-Mutchler dynamic-voting baseline.
 
 #include <gtest/gtest.h>
 
 #include "conn/component_tracker.hpp"
 #include "conn/live_network.hpp"
-#include "core/reassign.hpp"
-#include "dyn/adaptive.hpp"
 #include "dyn/dynamic_voting.hpp"
 #include "net/builders.hpp"
 #include "quorum/quorum_spec.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256ss.hpp"
-#include "sim/simulator.hpp"
 
 namespace quora::dyn {
 namespace {
@@ -131,90 +127,6 @@ TEST(DynamicVoting, VersionsNeverRegress) {
     }
   }
   EXPECT_GT(dv.committed_updates(), 100u);
-}
-
-TEST(AdaptiveReassigner, EstimatesAlphaFromTheStream) {
-  const net::Topology topo = net::make_ring(15);
-  core::QuorumReassignment qr(topo, quorum::majority(15));
-  AdaptiveReassigner agent(topo, qr);
-
-  sim::AccessSpec spec;
-  spec.alpha = 0.8;
-  sim::Simulator sim(topo, sim::SimConfig{}, spec, 31);
-  sim.add_access_observer(&agent);
-  sim.run_accesses(20'000);
-  EXPECT_NEAR(agent.estimated_alpha(), 0.8, 0.05);
-}
-
-TEST(AdaptiveReassigner, TracksAlphaShifts) {
-  const net::Topology topo = net::make_ring(15);
-  core::QuorumReassignment qr(topo, quorum::majority(15));
-  AdaptiveReassigner agent(topo, qr);
-
-  sim::AccessSpec spec;
-  spec.alpha = 0.9;
-  sim::Simulator sim(topo, sim::SimConfig{}, spec, 32);
-  sim.add_access_observer(&agent);
-  sim.run_accesses(30'000);
-  EXPECT_GT(agent.estimated_alpha(), 0.8);
-  sim.set_access_alpha(0.1);
-  sim.run_accesses(30'000);
-  // Exponential decay must have pulled the estimate down near 0.1.
-  EXPECT_LT(agent.estimated_alpha(), 0.2);
-}
-
-TEST(AdaptiveReassigner, InstallsTowardReadOptimumOnReadHeavyStream) {
-  const net::Topology topo = net::make_ring(25);
-  core::QuorumReassignment qr(topo, quorum::majority(25));
-  AdaptiveReassigner::Options options;
-  options.min_write_availability = 0.0;  // unconstrained — clearest signal
-  AdaptiveReassigner agent(topo, qr, options);
-
-  sim::AccessSpec spec;
-  spec.alpha = 0.95;  // reads dominate: ring optimum is tiny q_r
-  sim::Simulator sim(topo, sim::SimConfig{}, spec, 33);
-  sim.add_access_observer(&agent);
-  sim.run_accesses(60'000);
-
-  EXPECT_GT(agent.installs(), 0u);
-  const auto eff = qr.effective(sim.tracker(), 0);
-  EXPECT_LT(eff.spec.q_r, 13u);  // moved below the initial majority
-  EXPECT_GT(eff.version, 1u);
-}
-
-TEST(AdaptiveReassigner, RespectsWriteFloorInItsInstalls) {
-  const net::Topology topo = net::make_ring_with_chords(25, 4);
-  core::QuorumReassignment qr(topo, quorum::majority(25));
-  AdaptiveReassigner::Options options;
-  options.min_write_availability = 0.30;
-  AdaptiveReassigner agent(topo, qr, options);
-
-  sim::AccessSpec spec;
-  spec.alpha = 0.95;
-  sim::Simulator sim(topo, sim::SimConfig{}, spec, 34);
-  sim.add_access_observer(&agent);
-  sim.run_accesses(60'000);
-
-  // Whatever it installed, it must never have installed read-one/
-  // write-all (whose write availability on this network is ~0).
-  const auto eff = qr.effective(sim.tracker(), 0);
-  EXPECT_GT(eff.spec.q_r, 1u);
-}
-
-TEST(AdaptiveReassigner, NoInstallsBeforeMinSamples) {
-  const net::Topology topo = net::make_ring(15);
-  core::QuorumReassignment qr(topo, quorum::majority(15));
-  AdaptiveReassigner::Options options;
-  options.min_samples = 1'000'000;  // unreachable in this run
-  AdaptiveReassigner agent(topo, qr, options);
-
-  sim::AccessSpec spec;
-  spec.alpha = 0.95;
-  sim::Simulator sim(topo, sim::SimConfig{}, spec, 35);
-  sim.add_access_observer(&agent);
-  sim.run_accesses(30'000);
-  EXPECT_EQ(agent.installs(), 0u);
-  EXPECT_EQ(qr.latest_version(), 1u);
 }
 
 } // namespace

@@ -328,5 +328,25 @@ TEST(CliArgs, ParseUintTakesOnlyWholeUnsignedTokensInRange) {
   EXPECT_THROW(parse_uint("0", 1, 256), std::invalid_argument);
 }
 
+TEST(CliArgs, ParseDoubleTakesOnlyWholeFiniteTokensInRange) {
+  EXPECT_EQ(parse_double("0", 0.0, 1.0), 0.0);
+  EXPECT_EQ(parse_double("1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(parse_double("0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parse_double("-2.5", -3.0, 0.0), -2.5);
+  EXPECT_EQ(parse_double("1e3", 0.0, 1e9), 1000.0);
+  // Whitespace, a trailing character, non-finite spellings, overflow,
+  // underflow, or out of range.
+  for (const char* bad : {"", " 0.5", "0.5 ", "0.5x", "abc", "nan", "inf",
+                          "-inf", "1e999", "1e-999", "-0.1", "1.5"}) {
+    EXPECT_THROW(parse_double(bad, 0.0, 1.0), std::invalid_argument) << bad;
+  }
+  try {
+    parse_double("5x", 0.0, 1e9);
+    FAIL() << "accepted 5x";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "expects a number in [0, 1e+09], got \"5x\"");
+  }
+}
+
 } // namespace
 } // namespace quora::io

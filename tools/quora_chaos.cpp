@@ -57,7 +57,9 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/controller.hpp"
@@ -110,6 +112,20 @@ using namespace quora;
 
 /// Cap on --seeds: a typo'd count must fail, not start a days-long sweep.
 constexpr std::uint64_t kMaxSeeds = 100'000;
+/// Cap on the unbounded real-valued flags (--horizon, --adapt-epoch,
+/// --adapt-omega), for the same reason.
+constexpr double kMaxMagnitude = 1e9;
+
+/// io::parse_double over (0, max]: a zero horizon, epoch or weight is as
+/// malformed as a negative one.
+double parse_positive(std::string_view token, double max) {
+  const double parsed = io::parse_double(token, 0.0, max);
+  if (parsed == 0.0) {
+    throw std::invalid_argument("expects a positive number, got \"" +
+                                std::string(token) + "\"");
+  }
+  return parsed;
+}
 
 struct Options {
   std::optional<std::uint64_t> seed;
@@ -595,7 +611,7 @@ int main(int argc, char** argv) {
       if (arg == "--seed") {
         opt.seed = io::parse_uint(value(), 0, ~std::uint64_t{0});
       } else if (arg == "--horizon") {
-        opt.horizon = std::stod(value());
+        opt.horizon = parse_positive(value(), kMaxMagnitude);
       } else if (arg == "--max-retries") {
         opt.max_retries = static_cast<std::uint32_t>(
             io::parse_uint(value(), 0, msg::Cluster::Params::kMaxRetryBudget));
@@ -620,10 +636,10 @@ int main(int argc, char** argv) {
         opt.adapt = true;
       } else if (arg == "--adapt-epoch") {
         opt.adapt = true;
-        opt.adapt_opts.epoch_length = std::stod(value());
+        opt.adapt_opts.epoch_length = parse_positive(value(), kMaxMagnitude);
       } else if (arg == "--adapt-threshold") {
         opt.adapt = true;
-        opt.adapt_opts.threshold = std::stod(value());
+        opt.adapt_opts.threshold = io::parse_double(value(), 0.0, 1.0);
       } else if (arg == "--adapt-dwell") {
         opt.adapt = true;
         opt.adapt_opts.dwell = static_cast<std::uint32_t>(
@@ -632,12 +648,13 @@ int main(int argc, char** argv) {
         opt.adapt = true;
         opt.adapt_opts.objective =
             adapt::AdaptiveController::Objective::kWriteConstrained;
-        opt.adapt_opts.min_write_availability = std::stod(value());
+        opt.adapt_opts.min_write_availability =
+            io::parse_double(value(), 0.0, 1.0);
       } else if (arg == "--adapt-omega") {
         opt.adapt = true;
         opt.adapt_opts.objective =
             adapt::AdaptiveController::Objective::kWeighted;
-        opt.adapt_opts.omega = std::stod(value());
+        opt.adapt_opts.omega = parse_positive(value(), kMaxMagnitude);
       } else if (arg == "--race") {
         opt.race = true;
       } else if (arg == "--help" || arg == "-h") {

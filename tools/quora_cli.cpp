@@ -16,10 +16,12 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/optimize.hpp"
+#include "io/cli_args.hpp"
 #include "io/topology_io.hpp"
 #include "metrics/experiment.hpp"
 #include "net/builders.hpp"
@@ -71,6 +73,17 @@ struct Options {
   std::string metrics;
 };
 
+/// Runs one of the io:: strict parsers on a flag's value, failing with
+/// the flag named on a bad token.
+template <typename Parse>
+auto parse_flag(const std::string& flag, Parse parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    fail(flag + " " + e.what());
+  }
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options opt;
   for (int i = first; i < argc; ++i) {
@@ -79,24 +92,33 @@ Options parse_options(int argc, char** argv, int first) {
       if (i + 1 >= argc) fail("missing value for " + arg);
       return argv[++i];
     };
+    const auto count = [&](std::uint64_t min, std::uint64_t max, int base = 10) {
+      return parse_flag(arg, [&] {
+        return quora::io::parse_uint(value(), min, max, base);
+      });
+    };
+    const auto number = [&](double min, double max) {
+      return parse_flag(arg,
+                        [&] { return quora::io::parse_double(value(), min, max); });
+    };
     if (arg == "--alpha") {
-      opt.alphas.push_back(std::stod(value()));
+      opt.alphas.push_back(number(0.0, 1.0));
     } else if (arg == "--batch") {
-      opt.batch = std::stoull(value());
+      opt.batch = count(1, 1'000'000'000);
     } else if (arg == "--warmup") {
-      opt.warmup = std::stoull(value());
+      opt.warmup = count(0, 1'000'000'000);
     } else if (arg == "--min-batches") {
-      opt.min_batches = static_cast<std::uint32_t>(std::stoul(value()));
+      opt.min_batches = static_cast<std::uint32_t>(count(1, 100'000));
     } else if (arg == "--max-batches") {
-      opt.max_batches = static_cast<std::uint32_t>(std::stoul(value()));
+      opt.max_batches = static_cast<std::uint32_t>(count(1, 100'000));
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value(), nullptr, 0);
+      opt.seed = count(0, ~std::uint64_t{0}, 0);
     } else if (arg == "--stride") {
-      opt.stride = static_cast<unsigned>(std::stoul(value()));
+      opt.stride = static_cast<unsigned>(count(1, 1000));
     } else if (arg == "--write-floor") {
-      opt.write_floor = std::stod(value());
+      opt.write_floor = number(0.0, 1.0);
     } else if (arg == "--omega") {
-      opt.omega = std::stod(value());
+      opt.omega = number(0.0, 1e6);
     } else if (arg == "--surv") {
       opt.surv = true;
     } else if (arg == "--csv") {
@@ -153,17 +175,24 @@ quora::metrics::CurveResult run_measurement(const quora::io::SystemSpec& spec,
 int cmd_generate(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string kind = argv[2];
-  const auto arg = [&](int i) -> std::uint32_t {
+  // Size caps keep every kind within memory: a million sites on a ring,
+  // star or tree, a 1000x1000 grid, 4096 sites fully connected.
+  const auto arg = [&](int i, std::uint64_t max) {
     if (2 + i >= argc) fail("generate " + kind + ": missing argument");
-    return static_cast<std::uint32_t>(std::stoul(argv[2 + i]));
+    return static_cast<std::uint32_t>(parse_flag("generate " + kind, [&] {
+      return quora::io::parse_uint(argv[2 + i], 0, max);
+    }));
   };
+  constexpr std::uint64_t kMaxSites = 1'000'000;
   quora::net::Topology topo = [&] {
-    if (kind == "ring") return quora::net::make_ring(arg(1));
-    if (kind == "topology") return quora::net::make_ring_with_chords(arg(1), arg(2));
-    if (kind == "complete") return quora::net::make_fully_connected(arg(1));
-    if (kind == "star") return quora::net::make_star(arg(1));
-    if (kind == "grid") return quora::net::make_grid(arg(1), arg(2));
-    if (kind == "tree") return quora::net::make_binary_tree(arg(1));
+    if (kind == "ring") return quora::net::make_ring(arg(1, kMaxSites));
+    if (kind == "topology") {
+      return quora::net::make_ring_with_chords(arg(1, kMaxSites), arg(2, kMaxSites));
+    }
+    if (kind == "complete") return quora::net::make_fully_connected(arg(1, 4096));
+    if (kind == "star") return quora::net::make_star(arg(1, kMaxSites));
+    if (kind == "grid") return quora::net::make_grid(arg(1, 1000), arg(2, 1000));
+    if (kind == "tree") return quora::net::make_binary_tree(arg(1, kMaxSites));
     fail("unknown generate kind '" + kind + "'");
   }();
   quora::io::save_topology(std::cout, topo);

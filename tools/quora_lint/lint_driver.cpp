@@ -45,7 +45,7 @@ CheckScope scope_for_path(std::string_view rel_path, bool all_scopes) {
   scope.macro_args = true;
   for (std::string_view dir : {"src/sim/", "src/msg/", "src/core/",
                                "src/conn/", "src/fault/", "src/dyn/",
-                               "src/model/"}) {
+                               "src/model/", "src/adapt/"}) {
     if (starts_with(rel_path, dir)) scope.entropy = true;
   }
   for (std::string_view dir : {"src/fault/", "src/obs/", "src/report/"}) {
