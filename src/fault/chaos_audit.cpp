@@ -3,7 +3,6 @@
 #include <fstream>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "fault/fault_plan.hpp"
@@ -18,30 +17,23 @@ using io::AuditSeverity;
 
 class ChaosAuditor {
 public:
-  AuditReport run(std::istream& in) {
-    std::optional<ChaosSpec> spec;
-    try {
-      spec = load_chaos(in);
-    } catch (const std::exception& e) {
-      error(AuditCode::kParseError, e.what());
-      return std::move(report_);
-    }
-    const net::Topology& topo = spec->system->topology;
+  AuditReport run(const ChaosSpec& spec) {
+    const net::Topology& topo = spec.system->topology;
     const net::Vote total = topo.total_votes();
 
-    if (!(spec->horizon > 0.0)) {
+    if (!(spec.horizon > 0.0)) {
       error(AuditCode::kChaosBadSchedule,
             "plan declares no positive 'horizon': the soak runner cannot "
             "know when the scenario ends");
     }
-    if (spec->has_quorum) audit_spec("initial quorum", spec->quorum, total);
+    if (spec.has_quorum) audit_spec("initial quorum", spec.quorum, total);
 
-    for (const Action& a : spec->plan.actions()) audit_action(a, topo, *spec);
-    for (const MessageRule& r : spec->plan.rules()) audit_rule(r, topo, *spec);
-    for (const CorrelationRule& c : spec->plan.correlations()) {
+    for (const Action& a : spec.plan.actions()) audit_action(a, topo, spec);
+    for (const MessageRule& r : spec.plan.rules()) audit_rule(r, topo, spec);
+    for (const CorrelationRule& c : spec.plan.correlations()) {
       audit_correlation(c, topo);
     }
-    for (const std::string& m : spec->mutations) {
+    for (const std::string& m : spec.mutations) {
       if (m != "accept-stale-qr" && m != "skip-crash-cleanup") {
         error(AuditCode::kChaosBadSchedule,
               "unknown mutation '" + m +
@@ -307,7 +299,20 @@ private:
 
 } // namespace
 
-io::AuditReport audit_chaos(std::istream& in) { return ChaosAuditor().run(in); }
+io::AuditReport audit_chaos(std::istream& in) {
+  std::optional<ChaosSpec> spec;
+  try {
+    spec = load_chaos(in);
+  } catch (const std::exception& e) {
+    return io::AuditReport{
+        {AuditFinding{AuditCode::kParseError, AuditSeverity::kError, e.what()}}};
+  }
+  return audit_chaos(*spec);
+}
+
+io::AuditReport audit_chaos(const ChaosSpec& spec) {
+  return ChaosAuditor().run(spec);
+}
 
 io::AuditReport audit_chaos_file(const std::string& path) {
   std::ifstream in(path);

@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "fault/fault_plan.hpp"
 #include "io/config_audit.hpp"
 
 namespace quora::fault {
@@ -19,5 +20,7 @@ namespace quora::fault {
 /// runs when handed a `.chaos` file.
 io::AuditReport audit_chaos(std::istream& in);
 io::AuditReport audit_chaos_file(const std::string& path);
+/// The audit of an already parsed scenario (no `kParseError` findings).
+io::AuditReport audit_chaos(const ChaosSpec& spec);
 
 } // namespace quora::fault

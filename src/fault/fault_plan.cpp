@@ -1,183 +1,137 @@
 #include "fault/fault_plan.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace quora::fault {
 namespace {
 
-using io::ParseError;
-
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw ParseError(line, what);
-}
-
-double need_double(std::istringstream& cells, std::size_t line,
-                   const char* what) {
-  double v = 0.0;
-  if (!(cells >> v)) fail(line, std::string("expected ") + what);
-  return v;
-}
-
-std::uint32_t need_u32(std::istringstream& cells, std::size_t line,
-                       const char* what) {
-  std::uint32_t v = 0;
-  if (!(cells >> v)) fail(line, std::string("expected ") + what);
-  return v;
-}
-
-void need_keyword(std::istringstream& cells, std::size_t line,
-                  const std::string& keyword) {
-  std::string word;
-  if (!(cells >> word) || word != keyword) {
-    fail(line, "expected keyword '" + keyword + "'");
-  }
-}
-
-void reject_trailing(std::istringstream& cells, std::size_t line) {
-  std::string extra;
-  if (cells >> extra) fail(line, "trailing junk '" + extra + "'");
-}
+using io::Cells;
 
 /// Parses one partition group token: a comma-separated list of site ids
 /// and id ranges, e.g. `0-4,7,9-12`.
-std::vector<net::SiteId> parse_group(const std::string& token,
-                                     std::size_t line) {
+std::vector<net::SiteId> parse_group(const Cells& cells,
+                                     const std::string& token) {
   std::vector<net::SiteId> group;
   std::istringstream parts(token);
   std::string part;
   while (std::getline(parts, part, ',')) {
-    if (part.empty()) fail(line, "empty member in partition group");
+    if (part.empty()) cells.fail("empty member in partition group");
+    const std::string error = "bad site id in partition group '" + part + "'";
+    const auto site = [&](const std::string& id) {
+      return static_cast<net::SiteId>(
+          cells.uint(id, std::numeric_limits<net::SiteId>::max(), error));
+    };
     const auto dash = part.find('-');
-    try {
-      if (dash == std::string::npos) {
-        group.push_back(static_cast<net::SiteId>(std::stoul(part)));
-      } else {
-        const auto lo =
-            static_cast<net::SiteId>(std::stoul(part.substr(0, dash)));
-        const auto hi =
-            static_cast<net::SiteId>(std::stoul(part.substr(dash + 1)));
-        if (hi < lo) fail(line, "descending range '" + part + "'");
-        for (net::SiteId s = lo; s <= hi; ++s) group.push_back(s);
-      }
-    } catch (const ParseError&) {
-      throw;
-    } catch (const std::exception&) {
-      fail(line, "bad site id in partition group '" + part + "'");
+    if (dash == std::string::npos) {
+      group.push_back(site(part));
+    } else {
+      const net::SiteId lo = site(part.substr(0, dash));
+      const net::SiteId hi = site(part.substr(dash + 1));
+      if (hi < lo) cells.fail("descending range '" + part + "'");
+      for (net::SiteId s = lo; s <= hi; ++s) group.push_back(s);
     }
   }
-  if (group.empty()) fail(line, "empty partition group");
+  if (group.empty()) cells.fail("empty partition group");
   return group;
 }
 
-void parse_at(FaultPlan& plan, std::istringstream& cells, std::size_t line) {
-  const double t = need_double(cells, line, "a time after 'at'");
-  std::string what;
-  if (!(cells >> what)) fail(line, "expected an action after the time");
+/// Reads the `down`/`up` word that ends a site, link or oneway action.
+bool parse_down(Cells& cells) {
+  const std::string& state = cells.word("expected 'down' or 'up'");
+  if (state != "down" && state != "up") cells.fail("expected 'down' or 'up'");
+  return state == "down";
+}
+
+void parse_at(FaultPlan& plan, Cells& cells) {
+  const double t = cells.number("expected a time after 'at'");
+  const std::string& what = cells.word("expected an action after the time");
 
   if (what == "site" || what == "link") {
-    const std::uint32_t id = need_u32(cells, line, "a component id");
-    std::string state;
-    if (!(cells >> state) || (state != "down" && state != "up")) {
-      fail(line, "expected 'down' or 'up'");
-    }
+    const std::uint32_t id = cells.u32("expected a component id");
+    const bool down = parse_down(cells);
     if (what == "site") {
-      state == "down" ? plan.site_down(t, id) : plan.site_up(t, id);
+      down ? plan.site_down(t, id) : plan.site_up(t, id);
     } else {
-      state == "down" ? plan.link_down(t, id) : plan.link_up(t, id);
+      down ? plan.link_down(t, id) : plan.link_up(t, id);
     }
   } else if (what == "crash") {
-    const net::SiteId s = need_u32(cells, line, "a site id after 'crash'");
-    need_keyword(cells, line, "for");
-    plan.crash(t, s, need_double(cells, line, "a down-time after 'for'"));
+    const net::SiteId s = cells.u32("expected a site id after 'crash'");
+    cells.expect("for", "expected keyword 'for'");
+    plan.crash(t, s, cells.number("expected a down-time after 'for'"));
   } else if (what == "partition") {
     std::vector<std::vector<net::SiteId>> groups;
-    std::string token;
     std::string current;
-    while (cells >> token) {
+    while (!cells.at_end()) {
+      const std::string& token = cells.word("partition needs at least two groups");
       if (token == "|") {
-        groups.push_back(parse_group(current, line));
+        groups.push_back(parse_group(cells, current));
         current.clear();
       } else {
         current += token;  // allow `0-4, 7` style spacing inside a group
       }
     }
-    if (current.empty()) fail(line, "partition needs at least two groups");
-    groups.push_back(parse_group(current, line));
-    if (groups.size() < 2) fail(line, "partition needs at least two groups");
+    if (current.empty()) cells.fail("partition needs at least two groups");
+    groups.push_back(parse_group(cells, current));
+    if (groups.size() < 2) cells.fail("partition needs at least two groups");
     plan.partition(t, std::move(groups));
-    return;  // consumed the whole line
   } else if (what == "heal") {
     plan.heal(t);
   } else if (what == "heal-links") {
     plan.heal_links(t);
   } else if (what == "reassign") {
-    const net::Vote q_r = need_u32(cells, line, "q_r after 'reassign'");
-    const net::Vote q_w = need_u32(cells, line, "q_w after 'reassign'");
-    need_keyword(cells, line, "from");
-    const net::SiteId origin = need_u32(cells, line, "an origin site");
+    const net::Vote q_r = cells.u32("expected q_r after 'reassign'");
+    const net::Vote q_w = cells.u32("expected q_w after 'reassign'");
+    cells.expect("from", "expected keyword 'from'");
+    const net::SiteId origin = cells.u32("expected an origin site");
     plan.reassign(t, origin, quorum::QuorumSpec{q_r, q_w});
   } else if (what == "crash-on-commit") {
-    std::string target;
-    if (!(cells >> target)) fail(line, "expected a site id or 'any'");
-    net::SiteId filter = kAnySite;
-    if (target != "any") {
-      try {
-        filter = static_cast<net::SiteId>(std::stoul(target));
-      } catch (const std::exception&) {
-        fail(line, "crash-on-commit target must be a site id or 'any'");
-      }
-    }
+    const std::string& target = cells.word("expected a site id or 'any'");
+    const net::SiteId filter =
+        target == "any"
+            ? kAnySite
+            : static_cast<net::SiteId>(cells.uint(
+                  target, std::numeric_limits<net::SiteId>::max(),
+                  "crash-on-commit target must be a site id or 'any'"));
     double down_for = 10.0;
-    std::string keyword;
-    if (cells >> keyword) {
-      if (keyword != "for") fail(line, "expected 'for' or end of line");
-      down_for = need_double(cells, line, "a down-time after 'for'");
+    if (!cells.at_end()) {
+      cells.expect("for", "expected 'for' or end of line");
+      down_for = cells.number("expected a down-time after 'for'");
     }
     plan.arm_crash_on_commit(t, filter, down_for);
-    return;
   } else if (what == "domain") {
-    std::string path;
-    std::string state;
-    if (!(cells >> path >> state) || (state != "down" && state != "up")) {
-      fail(line, "expected 'domain PATH down|up'");
-    }
-    state == "down" ? plan.domain_down(t, std::move(path))
-                    : plan.domain_up(t, std::move(path));
+    const std::string error = "expected 'domain PATH down|up'";
+    const std::string& path = cells.word(error);
+    const std::string& state = cells.word(error);
+    if (state != "down" && state != "up") cells.fail(error);
+    state == "down" ? plan.domain_down(t, path) : plan.domain_up(t, path);
   } else if (what == "oneway") {
-    const net::SiteId a = need_u32(cells, line, "a from-site after 'oneway'");
-    const net::SiteId b2 = need_u32(cells, line, "a to-site after 'oneway'");
-    std::string state;
-    if (!(cells >> state) || (state != "down" && state != "up")) {
-      fail(line, "expected 'down' or 'up'");
-    }
-    state == "down" ? plan.oneway_down(t, a, b2) : plan.oneway_up(t, a, b2);
+    const net::SiteId a = cells.u32("expected a from-site after 'oneway'");
+    const net::SiteId b = cells.u32("expected a to-site after 'oneway'");
+    parse_down(cells) ? plan.oneway_down(t, a, b) : plan.oneway_up(t, a, b);
   } else if (what == "access") {
-    const net::SiteId origin = need_u32(cells, line, "a site id after 'access'");
-    std::string rw;
-    if (!(cells >> rw) || (rw != "read" && rw != "write")) {
-      fail(line, "expected 'read' or 'write' after the access origin");
-    }
+    const net::SiteId origin = cells.u32("expected a site id after 'access'");
+    const std::string error =
+        "expected 'read' or 'write' after the access origin";
+    const std::string& rw = cells.word(error);
+    if (rw != "read" && rw != "write") cells.fail(error);
     plan.access(t, origin, rw == "read");
   } else if (what == "alpha") {
-    plan.set_alpha(t, need_double(cells, line, "a value after 'alpha'"));
+    plan.set_alpha(t, cells.number("expected a value after 'alpha'"));
   } else if (what == "reliability") {
-    plan.set_reliability(t,
-                         need_double(cells, line, "a value after 'reliability'"));
+    plan.set_reliability(t, cells.number("expected a value after 'reliability'"));
   } else if (what == "rho") {
-    plan.set_rho(t, need_double(cells, line, "a value after 'rho'"));
+    plan.set_rho(t, cells.number("expected a value after 'rho'"));
   } else {
-    fail(line, "unknown action '" + what + "'");
+    cells.fail("unknown action '" + what + "'");
   }
-  reject_trailing(cells, line);
 }
 
 /// `correlate region|dc|rack P for D`
-void parse_correlate(FaultPlan& plan, std::istringstream& cells,
-                     std::size_t line) {
-  std::string level_word;
-  if (!(cells >> level_word)) fail(line, "expected region, dc or rack");
+void parse_correlate(FaultPlan& plan, Cells& cells) {
+  const std::string& level_word = cells.word("expected region, dc or rack");
   int level = 0;
   if (level_word == "region") {
     level = 1;
@@ -186,45 +140,43 @@ void parse_correlate(FaultPlan& plan, std::istringstream& cells,
   } else if (level_word == "rack") {
     level = 3;
   } else {
-    fail(line, "correlate level must be region, dc or rack, got '" +
-                   level_word + "'");
+    cells.fail("correlate level must be region, dc or rack, got '" +
+               level_word + "'");
   }
-  const double p = need_double(cells, line, "a probability");
-  need_keyword(cells, line, "for");
-  const double down_for = need_double(cells, line, "a down-time after 'for'");
-  reject_trailing(cells, line);
+  const double p = cells.number("expected a probability");
+  cells.expect("for", "expected keyword 'for'");
+  const double down_for = cells.number("expected a down-time after 'for'");
   plan.correlate(level, p, down_for);
 }
 
-void parse_window(FaultPlan& plan, std::istringstream& cells,
-                  std::size_t line) {
-  const double from = need_double(cells, line, "a window start time");
-  const double until = need_double(cells, line, "a window end time");
-  std::string kind;
-  if (!(cells >> kind)) fail(line, "expected drop/delay/duplicate");
-  const double p = need_double(cells, line, "a probability");
+void parse_window(FaultPlan& plan, Cells& cells) {
+  const double from = cells.number("expected a window start time");
+  const double until = cells.number("expected a window end time");
+  const std::string& kind = cells.word("expected drop/delay/duplicate");
+  const double p = cells.number("expected a probability");
   double mean_extra = 0.0;
   if (kind == "delay") {
-    mean_extra = need_double(cells, line, "a mean extra latency");
+    mean_extra = cells.number("expected a mean extra latency");
   } else if (kind != "drop" && kind != "duplicate") {
-    fail(line, "unknown window kind '" + kind + "'");
+    cells.fail("unknown window kind '" + kind + "'");
   }
   net::LinkId link = kAllLinks;
   std::string dom_a;
   std::string dom_b;
-  std::string keyword;
-  if (cells >> keyword) {
+  if (!cells.at_end()) {
+    const std::string error = "expected 'link', 'between' or end of line";
+    const std::string& keyword = cells.word(error);
     if (keyword == "link") {
-      link = need_u32(cells, line, "a link id after 'link'");
+      link = cells.u32("expected a link id after 'link'");
     } else if (keyword == "between") {
-      if (!(cells >> dom_a >> dom_b)) {
-        fail(line, "'between' needs two domain prefixes (or '*')");
-      }
-      if (dom_a == "*") fail(line, "the first 'between' domain cannot be '*'");
+      const std::string between =
+          "'between' needs two domain prefixes (or '*')";
+      dom_a = cells.word(between);
+      dom_b = cells.word(between);
+      if (dom_a == "*") cells.fail("the first 'between' domain cannot be '*'");
     } else {
-      fail(line, "expected 'link', 'between' or end of line");
+      cells.fail(error);
     }
-    reject_trailing(cells, line);
   }
   if (!dom_a.empty()) {
     if (kind == "drop") {
@@ -245,19 +197,53 @@ void parse_window(FaultPlan& plan, std::istringstream& cells,
   }
 }
 
-void parse_flap(FaultPlan& plan, std::istringstream& cells, std::size_t line) {
-  need_keyword(cells, line, "link");
-  const net::LinkId l = need_u32(cells, line, "a link id");
-  need_keyword(cells, line, "from");
-  const double from = need_double(cells, line, "a start time");
-  need_keyword(cells, line, "until");
-  const double until = need_double(cells, line, "an end time");
-  need_keyword(cells, line, "period");
-  const double period = need_double(cells, line, "a period");
-  reject_trailing(cells, line);
-  if (!(period > 0.0)) fail(line, "flap period must be positive");
-  if (!(until > from)) fail(line, "flap window must end after it starts");
-  plan.flap_link(l, from, until, period);
+void parse_flap(FaultPlan& plan, Cells& cells) {
+  cells.expect("link", "expected keyword 'link'");
+  const net::LinkId l = cells.u32("expected a link id");
+  cells.expect("from", "expected keyword 'from'");
+  const double from = cells.number("expected a start time");
+  cells.expect("until", "expected keyword 'until'");
+  const double until = cells.number("expected an end time");
+  cells.expect("period", "expected keyword 'period'");
+  const double period = cells.number("expected a period");
+  cells.done();
+  try {
+    plan.flap_link(l, from, until, period);
+  } catch (const std::invalid_argument& e) {
+    cells.fail(e.what());
+  }
+}
+
+/// Parses `cells` into `spec` if its keyword is a chaos directive.
+bool claim(ChaosSpec& spec, Cells cells) {
+  const std::string& directive = cells.keyword();
+  if (directive == "name") {
+    spec.name = cells.word("'name' needs a value");
+  } else if (directive == "seed") {
+    spec.seed = cells.u64("'seed' needs a value");
+    spec.has_seed = true;
+  } else if (directive == "horizon") {
+    spec.horizon = cells.number("expected a duration after 'horizon'");
+  } else if (directive == "quorum") {
+    const net::Vote q_r = cells.u32("expected q_r after 'quorum'");
+    const net::Vote q_w = cells.u32("expected q_w after 'quorum'");
+    spec.quorum = quorum::QuorumSpec{q_r, q_w};
+    spec.has_quorum = true;
+  } else if (directive == "at") {
+    parse_at(spec.plan, cells);
+  } else if (directive == "window") {
+    parse_window(spec.plan, cells);
+  } else if (directive == "flap") {
+    parse_flap(spec.plan, cells);
+  } else if (directive == "correlate") {
+    parse_correlate(spec.plan, cells);
+  } else if (directive == "mutate") {
+    spec.mutations.push_back(cells.word("'mutate' needs a mutation name"));
+  } else {
+    return false;  // a topology/system directive
+  }
+  cells.done();
+  return true;
 }
 
 } // namespace
@@ -330,6 +316,23 @@ FaultPlan& FaultPlan::heal_links(double t) {
 
 FaultPlan& FaultPlan::flap_link(net::LinkId l, double from, double until,
                                 double period) {
+  if (!(period > 0.0)) throw std::invalid_argument("flap period must be positive");
+  if (!(until > from)) {
+    throw std::invalid_argument("flap window must end after it starts");
+  }
+  // Count the toggles before adding any, with the same clock arithmetic
+  // as the loop below: a period too small to advance `t` never ends.
+  std::size_t toggles = 0;
+  for (double t = from; t < until; t += period) {
+    if (t + period == t) {
+      throw std::invalid_argument(
+          "flap period is too small to advance the clock inside its window");
+    }
+    if (++toggles > kMaxFlapToggles) {
+      throw std::invalid_argument("flap would toggle the link more than " +
+                                  std::to_string(kMaxFlapToggles) + " times");
+    }
+  }
   bool down = true;
   for (double t = from; t < until; t += period) {
     down ? link_down(t, l) : link_up(t, l);
@@ -493,56 +496,16 @@ FaultPlan& FaultPlan::duplicate_between(double from, double until, double p,
 }
 
 ChaosSpec load_chaos(std::istream& in) {
+  return load_chaos(io::read_directives(in));
+}
+
+ChaosSpec load_chaos(std::vector<io::Directive> directives) {
   ChaosSpec spec;
-  std::ostringstream system_text;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    const std::string line =
-        hash == std::string::npos ? raw : raw.substr(0, hash);
-    std::istringstream cells(line);
-    std::string directive;
-    if (!(cells >> directive)) {
-      system_text << raw << '\n';
-      continue;
-    }
-    if (directive == "name") {
-      if (!(cells >> spec.name)) fail(line_no, "'name' needs a value");
-      reject_trailing(cells, line_no);
-    } else if (directive == "seed") {
-      if (!(cells >> spec.seed)) fail(line_no, "'seed' needs a value");
-      spec.has_seed = true;
-      reject_trailing(cells, line_no);
-    } else if (directive == "horizon") {
-      spec.horizon = need_double(cells, line_no, "a duration after 'horizon'");
-      reject_trailing(cells, line_no);
-    } else if (directive == "quorum") {
-      const net::Vote q_r = need_u32(cells, line_no, "q_r after 'quorum'");
-      const net::Vote q_w = need_u32(cells, line_no, "q_w after 'quorum'");
-      spec.quorum = quorum::QuorumSpec{q_r, q_w};
-      spec.has_quorum = true;
-      reject_trailing(cells, line_no);
-    } else if (directive == "at") {
-      parse_at(spec.plan, cells, line_no);
-    } else if (directive == "window") {
-      parse_window(spec.plan, cells, line_no);
-    } else if (directive == "flap") {
-      parse_flap(spec.plan, cells, line_no);
-    } else if (directive == "correlate") {
-      parse_correlate(spec.plan, cells, line_no);
-    } else if (directive == "mutate") {
-      std::string which;
-      if (!(cells >> which)) fail(line_no, "'mutate' needs a mutation name");
-      reject_trailing(cells, line_no);
-      spec.mutations.push_back(std::move(which));
-    } else {
-      system_text << raw << '\n';  // a topology/system directive
-    }
+  std::vector<io::Directive> system;
+  for (io::Directive& directive : directives) {
+    if (!claim(spec, Cells(directive))) system.push_back(std::move(directive));
   }
-  std::istringstream system_in(system_text.str());
-  spec.system = io::load_system(system_in);
+  spec.system = io::load_system(system);
   return spec;
 }
 

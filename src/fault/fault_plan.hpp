@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "io/directives.hpp"
 #include "io/topology_io.hpp"
 #include "net/types.hpp"
 #include "quorum/quorum_spec.hpp"
@@ -15,6 +16,10 @@ namespace quora::fault {
 /// Wildcards for rule and trigger targets.
 inline constexpr net::SiteId kAnySite = 0xFFFFFFFFu;
 inline constexpr net::LinkId kAllLinks = 0xFFFFFFFFu;
+
+/// Most toggles one `flap_link` may add. Shipped plans use at most 24; the
+/// cap keeps a tiny period from expanding into billions of actions.
+inline constexpr std::size_t kMaxFlapToggles = 100'000;
 
 /// One scheduled action on a plan's timeline, applied by the cluster's
 /// event loop exactly at `time` (simulated clock). Actions are the
@@ -116,7 +121,10 @@ public:
   FaultPlan& heal(double t);
   FaultPlan& heal_links(double t);
   /// Toggle a link down/up every `period` from `from` until `until`;
-  /// guarantees the link ends up in the `up` state at `until`.
+  /// guarantees the link ends up in the `up` state at `until`. Throws
+  /// std::invalid_argument, adding nothing, unless period > 0, until >
+  /// from, and the window needs at most kMaxFlapToggles toggles, each of
+  /// which advances the clock.
   FaultPlan& flap_link(net::LinkId l, double from, double until, double period);
   FaultPlan& reassign(double t, net::SiteId origin, quorum::QuorumSpec next);
   /// Arm a one-shot trigger: the next coordinator matching `site` (or any,
@@ -182,8 +190,8 @@ private:
 
 /// A fully parsed `.chaos` scenario: plan + the system it runs against.
 /// The file format embeds the topology text format of `io::load_system`
-/// (sites/ring/chords/link/vote/... lines pass through untouched) and adds
-/// the chaos directives documented in docs/FAULT_INJECTION.md:
+/// (sites/ring/chords/link/vote/... directives pass through untouched) and
+/// adds the chaos directives documented in docs/FAULT_INJECTION.md:
 ///
 /// ```
 /// name clean-partition
@@ -245,10 +253,14 @@ struct ChaosSpec {
   FaultPlan plan;
 };
 
-/// Parses a `.chaos` scenario; throws `io::ParseError` on malformed input.
+/// Parses a `.chaos` scenario; throws `io::ParseError`, naming the file's
+/// own line, on malformed input. Numbers are strict (`io::Cells`).
 /// Range validation against the topology (site/link ids, probabilities,
 /// schedule sanity) is the job of `audit_chaos`, not the parser.
 ChaosSpec load_chaos(std::istream& in);
 ChaosSpec load_chaos_file(const std::string& path);
+/// The same over directives already read: claims the chaos directives
+/// (`name` and `quorum` included) and hands the rest to `io::load_system`.
+ChaosSpec load_chaos(std::vector<io::Directive> directives);
 
 } // namespace quora::fault

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "quorum/coterie.hpp"
@@ -13,103 +13,77 @@
 namespace quora::io {
 namespace {
 
-/// Checker-only directives peeled off before `load_system` sees the rest.
+/// Checker-only directives claimed before `load_system` sees the rest.
 struct CheckDirectives {
   std::optional<quorum::QuorumSpec> quorum;
   std::optional<net::Vote> declared_total;
   std::optional<std::uint64_t> version_default;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> versions;  // site, v
+  struct SiteVersion {
+    std::size_t line;
+    std::uint64_t site;
+    std::uint64_t version;
+  };
+  std::vector<SiteVersion> versions;
   // Adaptive-loop block (src/adapt); audited under kAdaptConfig.
   bool adapt_declared = false;  // any adapt* / gossip directive appeared
   std::optional<bool> adapt_enabled;
   std::optional<double> adapt_epoch;
   std::optional<double> adapt_threshold;
-  std::optional<std::int64_t> adapt_dwell;
+  std::optional<std::uint64_t> adapt_dwell;
   std::optional<double> adapt_min_write;
   std::optional<double> adapt_p;
   std::optional<bool> gossip_enabled;
-  std::string system_text;  // remainder, for load_system
+  std::vector<Directive> system;  // the unclaimed rest, for load_system
 };
 
-[[noreturn]] void parse_fail(std::size_t line, const std::string& what) {
-  throw ParseError(line, what);
-}
-
-CheckDirectives split_directives(std::istream& in) {
-  CheckDirectives d;
-  std::ostringstream rest;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    const std::string line = hash == std::string::npos ? raw : raw.substr(0, hash);
-    std::istringstream cells(line);
-    std::string directive;
-    if (!(cells >> directive)) {
-      rest << raw << '\n';
-      continue;
-    }
-    if (directive == "quorum") {
-      net::Vote q_r = 0;
-      net::Vote q_w = 0;
-      if (!(cells >> q_r >> q_w)) parse_fail(line_no, "'quorum' needs q_r and q_w");
-      d.quorum = quorum::QuorumSpec{q_r, q_w};
-    } else if (directive == "total_votes") {
-      net::Vote t = 0;
-      if (!(cells >> t)) parse_fail(line_no, "'total_votes' needs a count");
-      d.declared_total = t;
-    } else if (directive == "qr_version") {
-      std::string target;
-      std::uint64_t v = 0;
-      if (!(cells >> target >> v)) {
-        parse_fail(line_no, "'qr_version' needs a site (or 'default') and a version");
-      }
-      if (target == "default") {
-        d.version_default = v;
-      } else {
-        std::uint64_t site = 0;
-        try {
-          site = std::stoull(target);
-        } catch (const std::exception&) {
-          parse_fail(line_no, "'qr_version' site must be numeric or 'default'");
-        }
-        d.versions.emplace_back(site, v);
-      }
-    } else if (directive == "adapt" || directive == "gossip") {
-      std::string state;
-      if (!(cells >> state) || (state != "on" && state != "off")) {
-        parse_fail(line_no, "'" + directive + "' needs 'on' or 'off'");
-      }
-      d.adapt_declared = true;
-      if (directive == "adapt") {
-        d.adapt_enabled = (state == "on");
-      } else {
-        d.gossip_enabled = (state == "on");
-      }
-    } else if (directive == "adapt_epoch" || directive == "adapt_threshold" ||
-               directive == "adapt_min_write" || directive == "adapt_p") {
-      double v = 0.0;
-      if (!(cells >> v)) parse_fail(line_no, "'" + directive + "' needs a value");
-      d.adapt_declared = true;
-      if (directive == "adapt_epoch") d.adapt_epoch = v;
-      else if (directive == "adapt_threshold") d.adapt_threshold = v;
-      else if (directive == "adapt_min_write") d.adapt_min_write = v;
-      else d.adapt_p = v;
-    } else if (directive == "adapt_dwell") {
-      std::int64_t n = 0;
-      if (!(cells >> n)) parse_fail(line_no, "'adapt_dwell' needs an epoch count");
-      d.adapt_declared = true;
-      d.adapt_dwell = n;
+/// Parses `cells` into `d` if its keyword is a checker directive.
+bool claim(CheckDirectives& d, Cells cells) {
+  const std::string& directive = cells.keyword();
+  if (directive == "quorum") {
+    const net::Vote q_r = cells.u32("'quorum' needs q_r and q_w");
+    const net::Vote q_w = cells.u32("'quorum' needs q_r and q_w");
+    d.quorum = quorum::QuorumSpec{q_r, q_w};
+  } else if (directive == "total_votes") {
+    d.declared_total = cells.u32("'total_votes' needs a count");
+  } else if (directive == "qr_version") {
+    const std::string error =
+        "'qr_version' needs a site (or 'default') and a version";
+    const std::string& target = cells.word(error);
+    const std::uint64_t v = cells.u64(error);
+    if (target == "default") {
+      d.version_default = v;
     } else {
-      rest << raw << '\n';
-      continue;
+      const std::uint64_t site =
+          cells.uint(target, std::numeric_limits<std::uint64_t>::max(),
+                     "'qr_version' site must be numeric or 'default'");
+      d.versions.push_back(CheckDirectives::SiteVersion{cells.line(), site, v});
     }
-    std::string extra;
-    if (cells >> extra) parse_fail(line_no, "trailing junk '" + extra + "'");
+  } else if (directive == "adapt" || directive == "gossip") {
+    const std::string error = "'" + directive + "' needs 'on' or 'off'";
+    const std::string& state = cells.word(error);
+    if (state != "on" && state != "off") cells.fail(error);
+    d.adapt_declared = true;
+    if (directive == "adapt") {
+      d.adapt_enabled = (state == "on");
+    } else {
+      d.gossip_enabled = (state == "on");
+    }
+  } else if (directive == "adapt_epoch" || directive == "adapt_threshold" ||
+             directive == "adapt_min_write" || directive == "adapt_p") {
+    const double v = cells.number("'" + directive + "' needs a value");
+    d.adapt_declared = true;
+    if (directive == "adapt_epoch") d.adapt_epoch = v;
+    else if (directive == "adapt_threshold") d.adapt_threshold = v;
+    else if (directive == "adapt_min_write") d.adapt_min_write = v;
+    else d.adapt_p = v;
+  } else if (directive == "adapt_dwell") {
+    d.adapt_dwell = cells.u64("'adapt_dwell' needs an epoch count");
+    d.adapt_declared = true;
+  } else {
+    return false;
   }
-  d.system_text = rest.str();
-  return d;
+  cells.done();
+  return true;
 }
 
 class Auditor {
@@ -118,9 +92,10 @@ public:
     CheckDirectives d;
     std::optional<SystemSpec> spec;
     try {
-      d = split_directives(in);
-      std::istringstream system_in(d.system_text);
-      spec = load_system(system_in);
+      for (Directive& directive : read_directives(in)) {
+        if (!claim(d, Cells(directive))) d.system.push_back(std::move(directive));
+      }
+      spec = load_system(d.system);
     } catch (const std::exception& e) {
       error(AuditCode::kParseError, e.what());
       return std::move(report_);
@@ -154,16 +129,10 @@ private:
   // is where conflicting definitions surface.
   void audit_domains(const net::Topology& topo, const CheckDirectives& d) {
     // Duplicate `domain SITE ...` lines in the source text.
-    std::istringstream lines(d.system_text);
-    std::string raw;
     std::vector<std::string> seen_targets;
-    while (std::getline(lines, raw)) {
-      const auto hash = raw.find('#');
-      std::istringstream cells(hash == std::string::npos ? raw
-                                                         : raw.substr(0, hash));
-      std::string directive;
-      std::string target;
-      if (!(cells >> directive >> target) || directive != "domain") continue;
+    for (const Directive& line : d.system) {
+      if (line.tokens[0] != "domain") continue;
+      const std::string& target = line.tokens[1];  // load_system checked it
       if (std::find(seen_targets.begin(), seen_targets.end(), target) !=
           seen_targets.end()) {
         error(AuditCode::kDomainConfig,
@@ -310,15 +279,18 @@ private:
     if (!d.version_default && d.versions.empty()) return;
     const std::uint64_t fallback = d.version_default.value_or(1);
     std::vector<std::uint64_t> version(topo.site_count(), fallback);
-    for (const auto& [site, v] : d.versions) {
-      if (site >= topo.site_count()) {
+    for (const CheckDirectives::SiteVersion& sv : d.versions) {
+      if (sv.site >= topo.site_count()) {
         error(AuditCode::kParseError,
-              "qr_version names site " + std::to_string(site) +
-                  " but the topology has " + std::to_string(topo.site_count()) +
-                  " sites");
+              ParseError(sv.line, "qr_version names site " +
+                                      std::to_string(sv.site) +
+                                      " but the topology has " +
+                                      std::to_string(topo.site_count()) +
+                                      " sites")
+                  .what());
         return;
       }
-      version[site] = v;
+      version[sv.site] = sv.version;
     }
     const std::uint64_t newest = *std::max_element(version.begin(), version.end());
     std::uint32_t stale = 0;

@@ -89,9 +89,11 @@ struct AuditReport {
 /// ```
 ///
 /// Without a `quorum` directive the canonical family q_w = T - q_r + 1 is
-/// assumed and only the structural audits run. Checker directives are
-/// stripped before the remainder is handed to `io::load_system`, so every
-/// topology/vote/reliability feature keeps its one parser.
+/// assumed and only the structural audits run. The file is read once
+/// (`io::read_directives`); the checker directives are claimed and the
+/// remaining directives go to `io::load_system`, so every
+/// topology/vote/reliability feature keeps its one parser and every
+/// `parse-error` finding names the file's own line.
 AuditReport audit_config(std::istream& in);
 AuditReport audit_config_file(const std::string& path);
 

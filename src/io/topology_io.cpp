@@ -3,10 +3,11 @@
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <algorithm>
 #include <set>
-#include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@ struct Builder {
   bool sites_seen = false;
   net::Vote default_vote = 1;
   std::vector<std::pair<net::SiteId, net::Vote>> explicit_votes;
+  std::size_t last_vote_line = 0;  // blamed if the vote total overflows
   std::vector<net::Link> links;
   std::set<std::pair<net::SiteId, net::SiteId>> link_set;
   // Reliability directives, resolved after all links exist.
@@ -61,211 +63,178 @@ struct Builder {
   }
 };
 
-net::SiteId parse_site(const Builder& b, const std::string& token,
-                       std::size_t line) {
-  std::size_t pos = 0;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(token, &pos);
-  } catch (const std::exception&) {
-    throw ParseError(line, "expected a site id, got '" + token + "'");
-  }
-  if (pos != token.size()) {
-    throw ParseError(line, "trailing junk in site id '" + token + "'");
-  }
+net::SiteId parse_site(const Builder& b, const Cells& cells,
+                       const std::string& token) {
+  const std::uint64_t value =
+      cells.uint(token, std::numeric_limits<std::uint64_t>::max(),
+                 "expected a site id, got '" + token + "'");
   if (value >= b.sites) {
-    throw ParseError(line, "site " + token + " out of range (sites " +
-                               std::to_string(b.sites) + ")");
+    cells.fail("site " + token + " out of range (sites " +
+               std::to_string(b.sites) + ")");
   }
   return static_cast<net::SiteId>(value);
 }
 
-} // namespace
-
-SystemSpec load_system(std::istream& in) {
-  Builder b;
-  std::string raw;
-  std::size_t line_no = 0;
-
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    const std::string line = hash == std::string::npos ? raw : raw.substr(0, hash);
-    std::istringstream cells(line);
-    std::string directive;
-    if (!(cells >> directive)) continue;  // blank / comment-only
-
-    if (directive == "sites") {
-      if (b.sites_seen) throw ParseError(line_no, "duplicate 'sites' directive");
-      if (!(cells >> b.sites) || b.sites == 0) {
-        throw ParseError(line_no, "'sites' needs a positive count");
-      }
-      b.sites_seen = true;
-      continue;
+void parse_directive(Builder& b, Cells cells) {
+  const std::string& directive = cells.keyword();
+  if (directive == "sites") {
+    if (b.sites_seen) cells.fail("duplicate 'sites' directive");
+    b.sites = cells.u32("'sites' needs a positive count");
+    if (b.sites == 0) cells.fail("'sites' needs a positive count");
+    b.sites_seen = true;
+  } else if (!b.sites_seen) {
+    cells.fail("'sites N' must precede '" + directive + "'");
+  } else if (directive == "name") {
+    b.name = cells.word("'name' needs a value");
+  } else if (directive == "ring") {
+    if (b.sites < 3) cells.fail("'ring' needs at least 3 sites");
+    for (net::SiteId i = 0; i < b.sites; ++i) {
+      b.add_link(i, (i + 1) % b.sites);
     }
-    if (!b.sites_seen) {
-      throw ParseError(line_no, "'sites N' must precede '" + directive + "'");
+  } else if (directive == "chords") {
+    const std::uint32_t k = cells.u32("'chords' needs a count");
+    const auto order = net::chord_order(b.sites);
+    if (k > order.size()) {
+      cells.fail("only " + std::to_string(order.size()) + " chords exist for " +
+                 std::to_string(b.sites) + " sites");
     }
-
-    if (directive == "name") {
-      if (!(cells >> b.name)) throw ParseError(line_no, "'name' needs a value");
-    } else if (directive == "ring") {
-      if (b.sites < 3) throw ParseError(line_no, "'ring' needs at least 3 sites");
-      for (net::SiteId i = 0; i < b.sites; ++i) {
-        b.add_link(i, (i + 1) % b.sites);
-      }
-    } else if (directive == "chords") {
-      std::uint32_t k = 0;
-      if (!(cells >> k)) throw ParseError(line_no, "'chords' needs a count");
-      const auto order = net::chord_order(b.sites);
-      if (k > order.size()) {
-        throw ParseError(line_no, "only " + std::to_string(order.size()) +
-                                      " chords exist for " +
-                                      std::to_string(b.sites) + " sites");
-      }
-      for (std::uint32_t i = 0; i < k; ++i) b.add_link(order[i].a, order[i].b);
-    } else if (directive == "complete") {
-      for (net::SiteId a = 0; a < b.sites; ++a) {
-        for (net::SiteId bb = a + 1; bb < b.sites; ++bb) b.add_link(a, bb);
-      }
-    } else if (directive == "link") {
-      std::string sa;
-      std::string sb;
-      if (!(cells >> sa >> sb)) throw ParseError(line_no, "'link' needs two sites");
-      const net::SiteId a = parse_site(b, sa, line_no);
-      const net::SiteId bb = parse_site(b, sb, line_no);
-      if (a == bb) throw ParseError(line_no, "self-loop link");
-      if (!b.add_link(a, bb)) throw ParseError(line_no, "duplicate link");
-    } else if (directive == "vote") {
-      std::string target;
-      net::Vote v = 0;
-      if (!(cells >> target >> v)) {
-        throw ParseError(line_no, "'vote' needs a site (or 'default') and a count");
-      }
-      if (target == "default") {
-        b.default_vote = v;
-      } else {
-        b.explicit_votes.emplace_back(parse_site(b, target, line_no), v);
-      }
-    } else if (directive == "site_rel") {
-      std::string target;
-      double rel = 0.0;
-      if (!(cells >> target >> rel) || !(rel > 0.0 && rel <= 1.0)) {
-        throw ParseError(line_no,
-                         "'site_rel' needs a site (or 'default') and a "
-                         "reliability in (0,1]");
-      }
-      b.any_rel = true;
-      if (target == "default") {
-        b.site_rel_default = rel;
-      } else {
-        b.site_rels.emplace_back(parse_site(b, target, line_no), rel);
-      }
-    } else if (directive == "link_rel") {
-      std::string sa;
-      double rel = 0.0;
-      if (!(cells >> sa)) {
-        throw ParseError(line_no, "'link_rel' needs endpoints or 'default'");
-      }
-      b.any_rel = true;
-      if (sa == "default") {
-        if (!(cells >> rel) || !(rel > 0.0 && rel <= 1.0)) {
-          throw ParseError(line_no, "'link_rel default' needs a reliability");
-        }
-        b.link_rel_default = rel;
-      } else {
-        std::string sb;
-        if (!(cells >> sb >> rel) || !(rel > 0.0 && rel <= 1.0)) {
-          throw ParseError(line_no,
-                           "'link_rel' needs two sites and a reliability in "
-                           "(0,1]");
-        }
-        b.link_rels.push_back(Builder::LinkRel{parse_site(b, sa, line_no),
-                                               parse_site(b, sb, line_no), rel,
-                                               line_no});
-      }
-    } else if (directive == "domain") {
-      std::string target;
-      std::string path;
-      if (!(cells >> target >> path)) {
-        throw ParseError(line_no, "'domain' needs a site and a path");
-      }
-      // Last assignment wins (the static auditor flags duplicates).
-      b.domains.push_back(Builder::DomainDecl{parse_site(b, target, line_no),
-                                              std::move(path), line_no});
-    } else if (directive == "link_lat") {
-      std::string sa;
-      if (!(cells >> sa)) {
-        throw ParseError(line_no, "'link_lat' needs endpoints or 'default'");
-      }
-      b.any_lat = true;
-      net::LinkLatency lat;
-      if (sa == "default") {
-        if (!(cells >> lat.base >> lat.jitter) || lat.base < 0.0 ||
-            lat.jitter < 0.0) {
-          throw ParseError(line_no,
-                           "'link_lat default' needs base and jitter >= 0");
-        }
-        b.has_lat_default = true;
-        b.lat_default = lat;
-      } else {
-        std::string sb;
-        if (!(cells >> sb >> lat.base >> lat.jitter) || lat.base < 0.0 ||
-            lat.jitter < 0.0) {
-          throw ParseError(
-              line_no, "'link_lat' needs two sites, a base and a jitter >= 0");
-        }
-        b.link_lats.push_back(Builder::LinkLat{parse_site(b, sa, line_no),
-                                               parse_site(b, sb, line_no), lat,
-                                               line_no});
-      }
-    } else if (directive == "geo") {
-      net::GeoSpec geo;
-      if (!(cells >> geo.regions >> geo.dcs_per_region >> geo.racks_per_dc >>
-            geo.sites_per_rack)) {
-        throw ParseError(line_no,
-                         "'geo' needs four tier counts: regions dcs racks "
-                         "sites-per-rack");
-      }
-      if (!b.links.empty()) {
-        throw ParseError(line_no, "'geo' must precede any link directive");
-      }
-      const std::uint64_t product = std::uint64_t{geo.regions} *
-                                    geo.dcs_per_region * geo.racks_per_dc *
-                                    geo.sites_per_rack;
-      if (product == 0 || product != b.sites) {
-        throw ParseError(line_no, "'geo' tier product " +
-                                      std::to_string(product) +
-                                      " != sites " + std::to_string(b.sites));
-      }
-      const net::Topology geo_topo = net::make_geo(geo);
-      b.any_lat = true;
-      for (net::LinkId l = 0; l < geo_topo.link_count(); ++l) {
-        const net::Link& gl = geo_topo.link(l);
-        b.add_link(gl.a, gl.b);
-        b.link_lats.push_back(
-            Builder::LinkLat{gl.a, gl.b, geo_topo.link_latency(l), line_no});
-      }
-      for (net::SiteId s = 0; s < geo_topo.site_count(); ++s) {
-        b.domains.push_back(Builder::DomainDecl{s, geo_topo.domain(s), line_no});
-      }
+    for (std::uint32_t i = 0; i < k; ++i) b.add_link(order[i].a, order[i].b);
+  } else if (directive == "complete") {
+    for (net::SiteId a = 0; a < b.sites; ++a) {
+      for (net::SiteId bb = a + 1; bb < b.sites; ++bb) b.add_link(a, bb);
+    }
+  } else if (directive == "link") {
+    const std::string& sa = cells.word("'link' needs two sites");
+    const std::string& sb = cells.word("'link' needs two sites");
+    const net::SiteId a = parse_site(b, cells, sa);
+    const net::SiteId bb = parse_site(b, cells, sb);
+    if (a == bb) cells.fail("self-loop link");
+    if (!b.add_link(a, bb)) cells.fail("duplicate link");
+  } else if (directive == "vote") {
+    const std::string error = "'vote' needs a site (or 'default') and a count";
+    const std::string& target = cells.word(error);
+    const net::Vote v = cells.u32(error);
+    if (target == "default") {
+      b.default_vote = v;
     } else {
-      throw ParseError(line_no, "unknown directive '" + directive + "'");
+      b.explicit_votes.emplace_back(parse_site(b, cells, target), v);
     }
-
-    std::string extra;
-    if (cells >> extra) {
-      throw ParseError(line_no, "trailing junk '" + extra + "'");
+    b.last_vote_line = cells.line();
+  } else if (directive == "site_rel") {
+    const std::string error =
+        "'site_rel' needs a site (or 'default') and a reliability in (0,1]";
+    const std::string& target = cells.word(error);
+    const double rel = cells.number(error);
+    if (!(rel > 0.0 && rel <= 1.0)) cells.fail(error);
+    b.any_rel = true;
+    if (target == "default") {
+      b.site_rel_default = rel;
+    } else {
+      b.site_rels.emplace_back(parse_site(b, cells, target), rel);
     }
+  } else if (directive == "link_rel") {
+    const std::string& sa = cells.word("'link_rel' needs endpoints or 'default'");
+    b.any_rel = true;
+    if (sa == "default") {
+      const std::string error = "'link_rel default' needs a reliability";
+      const double rel = cells.number(error);
+      if (!(rel > 0.0 && rel <= 1.0)) cells.fail(error);
+      b.link_rel_default = rel;
+    } else {
+      const std::string error =
+          "'link_rel' needs two sites and a reliability in (0,1]";
+      const std::string& sb = cells.word(error);
+      const double rel = cells.number(error);
+      if (!(rel > 0.0 && rel <= 1.0)) cells.fail(error);
+      b.link_rels.push_back(Builder::LinkRel{parse_site(b, cells, sa),
+                                             parse_site(b, cells, sb), rel,
+                                             cells.line()});
+    }
+  } else if (directive == "domain") {
+    const std::string& target = cells.word("'domain' needs a site and a path");
+    const std::string& path = cells.word("'domain' needs a site and a path");
+    // Last assignment wins (the static auditor flags duplicates).
+    b.domains.push_back(
+        Builder::DomainDecl{parse_site(b, cells, target), path, cells.line()});
+  } else if (directive == "link_lat") {
+    const std::string& sa = cells.word("'link_lat' needs endpoints or 'default'");
+    b.any_lat = true;
+    net::LinkLatency lat;
+    if (sa == "default") {
+      const std::string error = "'link_lat default' needs base and jitter >= 0";
+      lat.base = cells.number(error);
+      lat.jitter = cells.number(error);
+      if (lat.base < 0.0 || lat.jitter < 0.0) cells.fail(error);
+      b.has_lat_default = true;
+      b.lat_default = lat;
+    } else {
+      const std::string error =
+          "'link_lat' needs two sites, a base and a jitter >= 0";
+      const std::string& sb = cells.word(error);
+      lat.base = cells.number(error);
+      lat.jitter = cells.number(error);
+      if (lat.base < 0.0 || lat.jitter < 0.0) cells.fail(error);
+      b.link_lats.push_back(Builder::LinkLat{parse_site(b, cells, sa),
+                                             parse_site(b, cells, sb), lat,
+                                             cells.line()});
+    }
+  } else if (directive == "geo") {
+    const std::string error =
+        "'geo' needs four tier counts: regions dcs racks sites-per-rack";
+    net::GeoSpec geo;
+    geo.regions = cells.u32(error);
+    geo.dcs_per_region = cells.u32(error);
+    geo.racks_per_dc = cells.u32(error);
+    geo.sites_per_rack = cells.u32(error);
+    if (!b.links.empty()) cells.fail("'geo' must precede any link directive");
+    const std::uint64_t product = std::uint64_t{geo.regions} *
+                                  geo.dcs_per_region * geo.racks_per_dc *
+                                  geo.sites_per_rack;
+    if (product == 0 || product != b.sites) {
+      cells.fail("'geo' tier product " + std::to_string(product) +
+                 " != sites " + std::to_string(b.sites));
+    }
+    const net::Topology geo_topo = net::make_geo(geo);
+    b.any_lat = true;
+    for (net::LinkId l = 0; l < geo_topo.link_count(); ++l) {
+      const net::Link& gl = geo_topo.link(l);
+      b.add_link(gl.a, gl.b);
+      b.link_lats.push_back(
+          Builder::LinkLat{gl.a, gl.b, geo_topo.link_latency(l), cells.line()});
+    }
+    for (net::SiteId s = 0; s < geo_topo.site_count(); ++s) {
+      b.domains.push_back(
+          Builder::DomainDecl{s, geo_topo.domain(s), cells.line()});
+    }
+  } else {
+    cells.fail("unknown directive '" + directive + "'");
   }
+  cells.done();
+}
 
-  if (!b.sites_seen) throw ParseError(line_no, "missing 'sites' directive");
+/// The topology rejects a vote total past `net::Vote`'s range; blame the
+/// last `vote` line, the one that completed the total.
+net::Topology build_topology(const Builder& b) {
   std::vector<net::Vote> votes(b.sites, b.default_vote);
   for (const auto& [site, v] : b.explicit_votes) votes[site] = v;
+  try {
+    return net::Topology(b.name, b.sites, b.links, std::move(votes));
+  } catch (const std::invalid_argument& e) {
+    throw ParseError(b.last_vote_line, e.what());
+  }
+}
 
-  SystemSpec spec{net::Topology(b.name, b.sites, b.links, std::move(votes)),
-                  {},
-                  {}};
+} // namespace
+
+SystemSpec load_system(std::istream& in) { return load_system(read_directives(in)); }
+
+SystemSpec load_system(const std::vector<Directive>& directives) {
+  Builder b;
+  for (const Directive& d : directives) parse_directive(b, Cells(d));
+
+  if (!b.sites_seen) throw ParseError(0, "missing 'sites' directive");
+  SystemSpec spec{build_topology(b), {}, {}};
+
   if (b.any_rel) {
     spec.site_reliability.assign(b.sites, b.site_rel_default);
     for (const auto& [site, rel] : b.site_rels) spec.site_reliability[site] = rel;

@@ -1,24 +1,13 @@
 #pragma once
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "io/directives.hpp"
 #include "net/topology.hpp"
 
 namespace quora::io {
-
-/// Parse failure with 1-based line number context.
-class ParseError : public std::runtime_error {
-public:
-  ParseError(std::size_t line, const std::string& what)
-      : std::runtime_error("line " + std::to_string(line) + ": " + what),
-        line_(line) {}
-  std::size_t line() const noexcept { return line_; }
-
-private:
-  std::size_t line_;
-};
 
 /// A parsed system description: the topology plus optional heterogeneous
 /// reliabilities (empty vectors = the uniform model of SimConfig).
@@ -60,9 +49,16 @@ struct SystemSpec {
 /// Builder directives (`ring`, `chords`, `complete`) skip links that
 /// already exist; explicit `link` lines must be unique. Reliability
 /// vectors are produced only when at least one `*_rel` directive appears.
-/// Throws `ParseError` on malformed input.
+/// Numbers are strict (see `io::Cells`): a count, site id or vote is a
+/// whole unsigned integer with no sign, a reliability or latency a whole
+/// finite number, and a line with tokens left over is rejected. Throws
+/// `ParseError`, naming the offending line, on malformed input — also when
+/// the votes sum past `net::Vote`'s range.
 SystemSpec load_system(std::istream& in);
 SystemSpec load_system_file(const std::string& path);
+/// The same over directives already read, for dialects that embed the
+/// system format and have claimed their own directives.
+SystemSpec load_system(const std::vector<Directive>& directives);
 
 /// Topology-only convenience wrappers over `load_system`.
 net::Topology load_topology(std::istream& in);

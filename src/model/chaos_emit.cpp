@@ -226,9 +226,9 @@ EmittedChaos emit_chaos(const Scope& scope, const Violation& violation,
   // `name` is a chaos-level directive (load_chaos consumes it), so an
   // embedded topology name would clobber the plan name above — and an
   // empty one would not even parse.
-  std::ostringstream system_text;
-  io::save_system(system_text, *scope.chaos.system);
-  std::istringstream system_lines(system_text.str());
+  std::ostringstream saved_system;
+  io::save_system(saved_system, *scope.chaos.system);
+  std::istringstream system_lines(saved_system.str());
   std::string system_line;
   while (std::getline(system_lines, system_line)) {
     if (system_line.rfind("name", 0) == 0) continue;

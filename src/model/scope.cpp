@@ -1,71 +1,36 @@
 #include "model/scope.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "fault/chaos_audit.hpp"
-#include "io/topology_io.hpp"
+#include "io/directives.hpp"
 
 namespace quora::model {
-namespace {
 
-/// Splits the raw text into the model-only directives (`depth`,
-/// `states`) and the remaining chaos-dialect lines. Removed lines are
-/// replaced with blanks so `io::ParseError` line numbers reported by the
-/// downstream parser still match the original file.
-struct SplitText {
-  std::string chaos_text;
-  std::uint64_t max_depth = Scope{}.max_depth;
-  std::uint64_t max_states = Scope{}.max_states;
-  bool has_depth = false;
-  bool has_states = false;
-};
-
-SplitText split_model_text(std::istream& in) {
-  SplitText out;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string directive;
-    ls >> directive;
-    if (directive == "depth" || directive == "states") {
-      std::uint64_t value = 0;
-      if (!(ls >> value) || value == 0) {
-        throw io::ParseError(line_no,
-                             "'" + directive + "' needs a positive count");
-      }
-      std::string trailing;
-      if (ls >> trailing && trailing[0] != '#') {
-        throw io::ParseError(line_no, "trailing junk after '" + directive +
-                                          "': " + trailing);
-      }
-      if (directive == "depth") {
-        out.max_depth = value;
-        out.has_depth = true;
-      } else {
-        out.max_states = value;
-        out.has_states = true;
-      }
-      out.chaos_text += '\n';
+Scope load_model(std::istream& in) {
+  Scope scope;
+  std::vector<io::Directive> chaos;
+  for (io::Directive& directive : io::read_directives(in)) {
+    io::Cells cells(directive);
+    const std::string& keyword = cells.keyword();
+    if (keyword != "depth" && keyword != "states") {
+      chaos.push_back(std::move(directive));
       continue;
     }
-    out.chaos_text += line;
-    out.chaos_text += '\n';
+    const std::string error = "'" + keyword + "' needs a positive count";
+    const std::uint64_t value = cells.u64(error);
+    if (value == 0) cells.fail(error);
+    cells.done();
+    if (keyword == "depth") {
+      scope.max_depth = value;
+    } else {
+      scope.max_states = value;
+    }
   }
-  return out;
-}
-
-Scope scope_from_split(const SplitText& split) {
-  Scope scope;
-  scope.max_depth = split.max_depth;
-  scope.max_states = split.max_states;
-  std::istringstream chaos_in(split.chaos_text);
-  scope.chaos = fault::load_chaos(chaos_in);
+  scope.chaos = fault::load_chaos(std::move(chaos));
   bool glue = false;  // previous action was a fault we may extend
   for (const fault::Action& a : scope.chaos.plan.actions()) {
     if (a.kind == fault::Action::Kind::kAccess) {
@@ -84,12 +49,6 @@ Scope scope_from_split(const SplitText& split) {
   return scope;
 }
 
-} // namespace
-
-Scope load_model(std::istream& in) {
-  return scope_from_split(split_model_text(in));
-}
-
 Scope load_model_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open model scope: " + path);
@@ -99,7 +58,20 @@ Scope load_model_file(const std::string& path) {
 io::AuditReport audit_model(std::istream& in) {
   using io::AuditCode;
   using io::AuditSeverity;
-  io::AuditReport report;
+  Scope scope;
+  try {
+    scope = load_model(in);
+  } catch (const std::exception& e) {
+    return io::AuditReport{
+        {io::AuditFinding{AuditCode::kParseError, AuditSeverity::kError, e.what()}}};
+  }
+
+  // The chaos-dialect checks (quorum consistency, site/link ranges,
+  // mutation names) run on a copy of the parsed plan. Scopes are untimed,
+  // so a far horizon keeps its schedule checks quiet.
+  fault::ChaosSpec chaos = scope.chaos;
+  if (!(chaos.horizon > 0.0)) chaos.horizon = 1e9;
+  io::AuditReport report = fault::audit_chaos(chaos);
   const auto add = [&report](AuditSeverity sev, std::string msg) {
     report.findings.push_back(io::AuditFinding{AuditCode::kModelScopeConfig,
                                                sev, std::move(msg)});
@@ -107,33 +79,6 @@ io::AuditReport audit_model(std::istream& in) {
   const auto error = [&add](std::string msg) {
     add(AuditSeverity::kError, std::move(msg));
   };
-
-  std::string text(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>{});
-  SplitText split;
-  Scope scope;
-  try {
-    std::istringstream model_in(text);
-    split = split_model_text(model_in);
-    scope = scope_from_split(split);
-  } catch (const std::exception& e) {
-    report.findings.push_back(io::AuditFinding{
-        AuditCode::kParseError, AuditSeverity::kError, e.what()});
-    return report;
-  }
-
-  // Delegate the chaos-dialect checks (quorum consistency, site/link
-  // ranges, mutation names) to the chaos auditor. Scopes are untimed, so
-  // a synthetic far horizon keeps its schedule checks quiet.
-  {
-    std::string chaos_text = split.chaos_text;
-    if (!(scope.chaos.horizon > 0.0)) chaos_text += "\nhorizon 1000000000\n";
-    std::istringstream chaos_in(chaos_text);
-    io::AuditReport chaos_report = fault::audit_chaos(chaos_in);
-    for (io::AuditFinding& f : chaos_report.findings) {
-      report.findings.push_back(std::move(f));
-    }
-  }
   if (scope.chaos.horizon > 0.0) {
     add(AuditSeverity::kWarning,
         "scope declares a 'horizon' but model exploration is untimed — the "

@@ -71,14 +71,17 @@ struct Scope {
   const std::string& name() const noexcept { return chaos.name; }
 };
 
-/// Parses a `.model` scope; throws `io::ParseError` on malformed input.
+/// Parses a `.model` scope: claims `depth` and `states` and hands the
+/// remaining directives to `fault::load_chaos`. Throws `io::ParseError`,
+/// naming the file's own line, on malformed input.
 /// Range/capability validation is `audit_model`'s job, not the parser's.
 Scope load_model(std::istream& in);
 Scope load_model_file(const std::string& path);
 
-/// Static audit for `quora_check`: parse failures surface as
-/// `kParseError`, out-of-range action targets reuse the chaos codes, and
-/// everything model-specific — scope size, accesses, an alphabet entry
+/// Static audit for `quora_check`. It parses once, through `load_model`:
+/// parse failures surface as `kParseError`, the parsed plan goes through
+/// `fault::audit_chaos` (out-of-range action targets reuse the chaos
+/// codes), and everything model-specific — scope size, accesses, an alphabet entry
 /// the model-mode cluster cannot express (stochastic windows, flaps,
 /// correlations, crash-on-commit triggers, regime shifts), depth/state
 /// budgets — lands under `AuditCode::kModelScopeConfig`.

@@ -1,6 +1,8 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -31,7 +33,13 @@ Topology::Topology(std::string name, std::uint32_t site_count, std::vector<Link>
     }
   }
 
-  total_votes_ = std::accumulate(votes_.begin(), votes_.end(), Vote{0});
+  const std::uint64_t total =
+      std::accumulate(votes_.begin(), votes_.end(), std::uint64_t{0});
+  if (total > std::numeric_limits<Vote>::max()) {
+    throw std::invalid_argument("Topology: vote total " + std::to_string(total) +
+                                " overflows net::Vote");
+  }
+  total_votes_ = static_cast<Vote>(total);
   uniform_votes_ =
       std::all_of(votes_.begin(), votes_.end(),
                   [this](const Vote v) { return v == votes_.front(); });

@@ -107,10 +107,30 @@ TEST(ChaosParser, RejectsMalformedLinesWithLineNumbers) {
       "window 5 10 teleport 0.5\n",           // unknown rule kind
       "flap link 0 from 10 until 5 period 1\n",  // inverted window
       "at 5 site 0 down extra\n",             // trailing junk
+      "at 1 site -1 down\n",                  // sign on a site id
+      "at 5 crash-on-commit 5x\n",            // trailing junk in the target
+      "at 5 crash-on-commit any for 5 junk\n",
+      "at 5 partition 0-1x | 2\n",            // junk in a range bound
+      "flap link 0 from 0 until 10 period 0\n",
+      "flap link 0 from 0 until 1000000 period 0.000001\n",  // 1e12 toggles
+      "flap link 0 from 1 until 2 period 0.00000000000000001\n",  // 1 + p == 1
   };
   for (const char* text : bad) {
     std::istringstream in(std::string("sites 5\nring\n") + text);
-    EXPECT_THROW(load_chaos(in), io::ParseError) << text;
+    try {
+      load_chaos(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << text << e.what();
+    }
+  }
+  // A system error after a chaos directive names the file's own line.
+  std::istringstream in("horizon 5\nsites 5\nring\nlink 0 9\n");
+  try {
+    load_chaos(in);
+    ADD_FAILURE() << "accepted a link to site 9 of 5";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.line(), 4u) << e.what();
   }
 }
 
@@ -139,6 +159,18 @@ TEST(FaultPlanBuilder, MatchesParsedEquivalent) {
   }
   ASSERT_EQ(parsed.plan.rules().size(), 1u);
   EXPECT_DOUBLE_EQ(parsed.plan.rules()[0].probability, 0.25);
+}
+
+TEST(FaultPlanBuilder, FlapRejectsWindowsItCannotExpand) {
+  FaultPlan p;
+  EXPECT_THROW(p.flap_link(0, 0.0, 10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(p.flap_link(0, 0.0, 10.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(p.flap_link(0, 10.0, 5.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(p.flap_link(0, 0.0, 1e6, 1e-6), std::invalid_argument);
+  EXPECT_THROW(p.flap_link(0, 1.0, 2.0, 1e-17), std::invalid_argument);
+  EXPECT_TRUE(p.empty());  // a rejected flap adds nothing
+  p.flap_link(0, 0.0, static_cast<double>(kMaxFlapToggles), 1.0);
+  EXPECT_EQ(p.actions().size(), kMaxFlapToggles + 1);  // + the final link-up
 }
 
 TEST(FaultInjector, ValidatesThePlan) {

@@ -105,6 +105,10 @@ TEST(TopologyIo, ErrorsCarryLineNumbers) {
   expect_error_at("sites 0\n", 1);                        // zero sites
   expect_error_at("sites 4\nchords 99\n", 2);             // too many chords
   expect_error_at("", 0);                                 // empty file
+  expect_error_at("sites 5 junk\n", 1);                   // trailing junk
+  expect_error_at("sites 3\nvote 1 -1\n", 2);             // sign on a count
+  // The vote total 4294967295 + 2 + 1 overflows net::Vote.
+  expect_error_at("sites 3\nring\nvote 0 4294967295\nvote 1 2\n", 4);
 }
 
 TEST(TopologyIo, SaveLoadRoundTrip) {

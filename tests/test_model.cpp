@@ -104,14 +104,21 @@ TEST(ModelScope, DepthDirectiveValidates) {
 }
 
 TEST(ModelScope, ParseErrorKeepsOriginalLineNumbers) {
-  // depth/states lines are stripped before the chaos parser runs; blank
-  // substitution must keep downstream line numbers aligned.
+  // depth/states lines are claimed before the chaos parser runs, and the
+  // chaos directives before the system parser; errors further down must
+  // still name the file's own line.
   try {
     parse("depth 10\nstates 20\nbogus-directive 1\n");
     FAIL() << "expected ParseError";
   } catch (const quora::io::ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
+  }
+  try {
+    parse("name a\nquorum 2 2\nsites 3\nlink 0 5\n");
+    FAIL() << "expected ParseError";
+  } catch (const quora::io::ParseError& e) {
+    EXPECT_EQ(e.line(), 4u) << e.what();
   }
 }
 

@@ -22,6 +22,9 @@ TEST(Topology, ValidatesInput) {
   EXPECT_THROW(Topology("t", 3, {Link{1, 1}}), std::invalid_argument);
   EXPECT_THROW(Topology("t", 3, {Link{0, 1}, Link{1, 0}}), std::invalid_argument);
   EXPECT_THROW(Topology("t", 3, {}, std::vector<Vote>{1, 1}), std::invalid_argument);
+  // The vote total must fit in a Vote: 4294967295 + 2 + 1 does not.
+  EXPECT_THROW(Topology("t", 3, {}, std::vector<Vote>{4294967295u, 2, 1}),
+               std::invalid_argument);
 }
 
 TEST(Topology, AdjacencyIsSymmetricAndComplete) {

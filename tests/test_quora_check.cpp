@@ -164,6 +164,14 @@ TEST(QuoraCheck, ParseErrorsAreReportedNotThrown) {
   EXPECT_TRUE(audit("sites 5\nquorum 1\n").has(AuditCode::kParseError));
   EXPECT_TRUE(
       audit("sites 5\nring\nqr_version 9 1\n").has(AuditCode::kParseError));
+  EXPECT_TRUE(
+      audit("sites 5\nring\nqr_version 1x 3\n").has(AuditCode::kParseError));
+  // A system error after checker directives names the file's own line.
+  const AuditReport late =
+      audit("quorum 2 2\ntotal_votes 4\nsites 4\nring\nbogus 1\n");
+  ASSERT_TRUE(late.has(AuditCode::kParseError));
+  EXPECT_EQ(late.findings.front().message.rfind("line 5:", 0), 0u)
+      << late.findings.front().message;
 }
 
 TEST(QuoraCheck, SmallSystemCoterieCrossCheckStaysClean) {
