@@ -1,6 +1,11 @@
 // DESIGN.md PERF — engineering benchmarks (google-benchmark). The paper's
 // study cost 0.5-2 hours per 1M-access batch on a DECstation 5000; these
 // track what the same work costs in this implementation, per subsystem.
+// Costs with a pinned twin live elsewhere only: the event queue and the
+// tracker on ring-101, complete-101 and Topology 4949 in quora_bench
+// (BENCH_baseline.json), the simulator loop in quora_bench's sim_e2e
+// cases and perfbench's paper_curves, the message-level cluster in
+// perfbench's cluster_steady.
 
 #include <benchmark/benchmark.h>
 
@@ -12,12 +17,9 @@
 #include "conn/live_network.hpp"
 #include "core/component_dist.hpp"
 #include "core/optimize.hpp"
-#include "msg/cluster.hpp"
 #include "net/builders.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/distributions.hpp"
-#include "sim/event.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -46,20 +48,8 @@ void BM_AliasSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasSample)->Arg(101)->Arg(4096);
 
-void BM_EventQueue(benchmark::State& state) {
-  sim::EventQueue<sim::Event> queue;
-  rng::Xoshiro256ss gen(1);
-  for (int i = 0; i < 256; ++i) {
-    queue.push({gen.next_double(), 0, sim::EventKind::kAccess, 0});
-  }
-  for (auto _ : state) {
-    const sim::Event e = queue.pop();
-    queue.push({e.time + rng::exponential(gen, 1.0), 0, sim::EventKind::kAccess, 0});
-  }
-}
-BENCHMARK(BM_EventQueue);
-
-void tracker_refresh(benchmark::State& state, const net::Topology& topo) {
+void BM_ComponentTrackerRefresh_Topology256(benchmark::State& state) {
+  const auto topo = net::make_ring_with_chords(101, 256);
   conn::LiveNetwork live(topo);
   conn::ComponentTracker tracker(live);
   rng::Xoshiro256ss gen(7);
@@ -74,73 +64,7 @@ void tracker_refresh(benchmark::State& state, const net::Topology& topo) {
   state.counters["incremental"] =
       static_cast<double>(tracker.stats().incremental_applies);
 }
-
-void BM_ComponentTrackerRefresh_Ring101(benchmark::State& state) {
-  const auto topo = net::make_ring(101);
-  tracker_refresh(state, topo);
-}
-BENCHMARK(BM_ComponentTrackerRefresh_Ring101);
-
-void BM_ComponentTrackerRefresh_Topology256(benchmark::State& state) {
-  const auto topo = net::make_ring_with_chords(101, 256);
-  tracker_refresh(state, topo);
-}
 BENCHMARK(BM_ComponentTrackerRefresh_Topology256);
-
-void BM_ComponentTrackerRefresh_Complete101(benchmark::State& state) {
-  const auto topo = net::make_fully_connected(101);
-  tracker_refresh(state, topo);
-}
-BENCHMARK(BM_ComponentTrackerRefresh_Complete101);
-
-// The paper's Topology 4949 (Table 1) is the complete graph on 101 sites
-// expressed as ring + 4949 chords; kept distinct from Complete101 so the
-// two builder paths stay comparable.
-void BM_ComponentTrackerRefresh_Topology4949(benchmark::State& state) {
-  const auto topo = net::make_ring_with_chords(101, 4949);
-  tracker_refresh(state, topo);
-}
-BENCHMARK(BM_ComponentTrackerRefresh_Topology4949);
-
-// One decided access through the message-level cluster: flood, votes,
-// commit, acks — the end-to-end cost the chaos soak pays per access.
-void BM_ClusterAccess(benchmark::State& state) {
-  const auto topo = net::make_ring_with_chords(25, 4);
-  msg::Cluster::Params params;
-  params.spec = quorum::QuorumSpec{13, 13};
-  msg::Cluster cluster(topo, params, 42);
-  std::uint64_t decided = 0;
-  for (auto _ : state) {
-    cluster.run_decided_accesses(1);
-    ++decided;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(decided));
-}
-BENCHMARK(BM_ClusterAccess);
-
-void simulator_throughput(benchmark::State& state, const net::Topology& topo) {
-  sim::SimConfig config;
-  sim::AccessSpec spec;
-  sim::Simulator sim(topo, config, spec, 42);
-  std::uint64_t accesses = 0;
-  for (auto _ : state) {
-    sim.run_accesses(100);
-    accesses += 100;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
-}
-
-void BM_Simulator_Ring101(benchmark::State& state) {
-  const auto topo = net::make_ring(101);
-  simulator_throughput(state, topo);
-}
-BENCHMARK(BM_Simulator_Ring101);
-
-void BM_Simulator_Complete101(benchmark::State& state) {
-  const auto topo = net::make_fully_connected(101);
-  simulator_throughput(state, topo);
-}
-BENCHMARK(BM_Simulator_Complete101);
 
 core::AvailabilityCurve make_test_curve() {
   return core::AvailabilityCurve(core::ring_site_pdf(101, 0.96, 0.96));

@@ -26,7 +26,14 @@ public:
             "plan declares no positive 'horizon': the soak runner cannot "
             "know when the scenario ends");
     }
-    if (spec.has_quorum) audit_spec("initial quorum", spec.quorum, total);
+    if (spec.has_quorum) {
+      audit_spec("initial quorum", spec.quorum, total);
+    } else if (total < 2) {
+      // The runners default to quorum::majority, which needs two votes.
+      error(AuditCode::kQuorumRange,
+            "plan declares no 'quorum' and T=" + std::to_string(total) +
+                " has no strict majority to default to (needs T >= 2)");
+    }
 
     for (const Action& a : spec.plan.actions()) audit_action(a, topo, spec);
     for (const MessageRule& r : spec.plan.rules()) audit_rule(r, topo, spec);

@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -507,6 +508,53 @@ ChaosSpec load_chaos(std::vector<io::Directive> directives) {
   }
   spec.system = io::load_system(system);
   return spec;
+}
+
+std::string render_action(const Action& a) {
+  using Kind = Action::Kind;
+  const auto num = [](double v) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
+  };
+  const std::string site = std::to_string(a.site);
+  switch (a.kind) {
+    case Kind::kSiteDown: return "site " + site + " down";
+    case Kind::kSiteUp: return "site " + site + " up";
+    case Kind::kLinkDown: return "link " + std::to_string(a.link) + " down";
+    case Kind::kLinkUp: return "link " + std::to_string(a.link) + " up";
+    case Kind::kPartition: {
+      std::string out = "partition";
+      for (std::size_t g = 0; g < a.groups.size(); ++g) {
+        out += g == 0 ? " " : " | ";
+        for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
+          if (i != 0) out += ',';
+          out += std::to_string(a.groups[g][i]);
+        }
+      }
+      return out;
+    }
+    case Kind::kHeal: return "heal";
+    case Kind::kHealLinks: return "heal-links";
+    case Kind::kReassign:
+      return "reassign " + std::to_string(a.next.q_r) + " " +
+             std::to_string(a.next.q_w) + " from " + site;
+    case Kind::kArmCrashOnCommit:
+      return "crash-on-commit " + (a.site == kAnySite ? "any" : site) +
+             " for " + num(a.duration);
+    case Kind::kDomainDown: return "domain " + a.domain + " down";
+    case Kind::kDomainUp: return "domain " + a.domain + " up";
+    case Kind::kOneWayDown:
+      return "oneway " + site + " " + std::to_string(a.site_b) + " down";
+    case Kind::kOneWayUp:
+      return "oneway " + site + " " + std::to_string(a.site_b) + " up";
+    case Kind::kSetAlpha: return "alpha " + num(a.value);
+    case Kind::kSetReliability: return "reliability " + num(a.value);
+    case Kind::kSetRho: return "rho " + num(a.value);
+    case Kind::kAccess:
+      return "access " + site + (a.is_read ? " read" : " write");
+  }
+  return "?";
 }
 
 ChaosSpec load_chaos_file(const std::string& path) {

@@ -263,4 +263,10 @@ ChaosSpec load_chaos_file(const std::string& path);
 /// (`name` and `quorum` included) and hands the rest to `io::load_system`.
 ChaosSpec load_chaos(std::vector<io::Directive> directives);
 
+/// Renders one timeline action in `.chaos` syntax, the part after
+/// `at TIME`: `load_chaos` reads `at TIME <rendering>` back into an equal
+/// action. Partition groups are listed member by member and doubles are
+/// written in their shortest round-trip form.
+std::string render_action(const Action& action);
+
 } // namespace quora::fault

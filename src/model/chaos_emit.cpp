@@ -7,7 +7,6 @@
 #include "io/topology_io.hpp"
 #include "msg/cluster.hpp"
 #include "msg/invariants.hpp"
-#include "quorum/quorum_spec.hpp"
 
 namespace quora::model {
 namespace {
@@ -23,71 +22,9 @@ struct Step {
   bool is_crash = false;  // render as `crash S for 0`
 };
 
-std::string render_action(const Step& step) {
-  const Action& a = step.action;
-  using Kind = Action::Kind;
-  if (step.is_crash) return "crash " + std::to_string(a.site) + " for 0";
-  switch (a.kind) {
-    case Kind::kSiteDown: return "site " + std::to_string(a.site) + " down";
-    case Kind::kSiteUp: return "site " + std::to_string(a.site) + " up";
-    case Kind::kLinkDown: return "link " + std::to_string(a.link) + " down";
-    case Kind::kLinkUp: return "link " + std::to_string(a.link) + " up";
-    case Kind::kPartition: {
-      std::string out = "partition";
-      for (std::size_t g = 0; g < a.groups.size(); ++g) {
-        out += g == 0 ? " " : " | ";
-        for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-          if (i != 0) out += ',';
-          out += std::to_string(a.groups[g][i]);
-        }
-      }
-      return out;
-    }
-    case Kind::kHeal: return "heal";
-    case Kind::kHealLinks: return "heal-links";
-    case Kind::kReassign:
-      return "reassign " + std::to_string(a.next.q_r) + " " +
-             std::to_string(a.next.q_w) + " from " + std::to_string(a.site);
-    case Kind::kDomainDown: return "domain " + a.domain + " down";
-    case Kind::kDomainUp: return "domain " + a.domain + " up";
-    case Kind::kOneWayDown:
-      return "oneway " + std::to_string(a.site) + " " +
-             std::to_string(a.site_b) + " down";
-    case Kind::kOneWayUp:
-      return "oneway " + std::to_string(a.site) + " " +
-             std::to_string(a.site_b) + " up";
-    case Kind::kAccess:
-      return "access " + std::to_string(a.site) + " " +
-             (a.is_read ? "read" : "write");
-    default:
-      // Audited out of model scopes (triggers, regime shifts).
-      return "heal";
-  }
-}
-
-void add_to_plan(fault::FaultPlan& plan, const Step& step, double t) {
-  const Action& a = step.action;
-  using Kind = Action::Kind;
-  if (step.is_crash) {
-    plan.crash(t, a.site, 0.0);
-    return;
-  }
-  switch (a.kind) {
-    case Kind::kSiteDown: plan.site_down(t, a.site); break;
-    case Kind::kSiteUp: plan.site_up(t, a.site); break;
-    case Kind::kLinkDown: plan.link_down(t, a.link); break;
-    case Kind::kLinkUp: plan.link_up(t, a.link); break;
-    case Kind::kPartition: plan.partition(t, a.groups); break;
-    case Kind::kHeal: plan.heal(t); break;
-    case Kind::kHealLinks: plan.heal_links(t); break;
-    case Kind::kReassign: plan.reassign(t, a.site, a.next); break;
-    case Kind::kDomainDown: plan.domain_down(t, a.domain); break;
-    case Kind::kDomainUp: plan.domain_up(t, a.domain); break;
-    case Kind::kOneWayDown: plan.oneway_down(t, a.site, a.site_b); break;
-    case Kind::kOneWayUp: plan.oneway_up(t, a.site, a.site_b); break;
-    case Kind::kAccess: plan.access(t, a.site, a.is_read); break;
-    default: break;
-  }
+std::string render_step(const Step& step) {
+  if (step.is_crash) return "crash " + std::to_string(step.action.site) + " for 0";
+  return fault::render_action(step.action);
 }
 
 /// The submit/fault skeleton of the trace, with down/up pairs merged.
@@ -132,32 +69,51 @@ std::vector<std::string> safety_codes(const msg::SafetyReport& report) {
   return out;
 }
 
-/// Runs the candidate plan exactly the way `quora_chaos` would (same
-/// params, same injector wiring — see run_plan there) and reports
-/// whether every target safety code reproduces.
-bool reproduces(const Scope& scope, const fault::FaultPlan& plan,
-                std::uint64_t seed, double horizon,
+/// Runs the candidate plan with `quora_chaos`'s parameters and injector
+/// wiring and reports whether every target safety code reproduces.
+bool reproduces(const fault::ChaosSpec& plan, std::uint64_t seed,
                 const std::vector<std::string>& target) {
-  const net::Topology& topo = scope.chaos.system->topology;
-  msg::Cluster::Params params;
-  params.spec = scope.chaos.has_quorum
-                    ? scope.chaos.quorum
-                    : quorum::majority(topo.total_votes());
-  params.max_retries = 2;
-  for (const std::string& m : scope.chaos.mutations) {
-    if (m == "accept-stale-qr") params.mutations.accept_stale_qr = true;
-    if (m == "skip-crash-cleanup") params.mutations.skip_crash_cleanup = true;
-  }
-  params.config.reliability = 0.999999;
-  params.config.rho = 1e-9;
-
-  msg::Cluster cluster(topo, params, seed);
-  fault::FaultInjector injector(plan, seed);
+  msg::Cluster cluster(plan.system->topology, msg::chaos_params(plan), seed);
+  fault::FaultInjector injector(plan.plan, seed);
   cluster.attach_injector(&injector);
-  cluster.run_until(horizon);
+  cluster.run_until(plan.horizon);
 
   const std::vector<std::string> got = safety_codes(msg::check_safety(cluster));
   return std::includes(got.begin(), got.end(), target.begin(), target.end());
+}
+
+/// The plan body for one step spacing: everything after the `seed` line.
+std::string plan_body(const Scope& scope, const std::vector<Step>& steps,
+                      double base_time, double step_dt) {
+  std::ostringstream text;
+  double last = base_time;
+  for (std::size_t i = 1; i < steps.size(); ++i) last += step_dt;
+  text << "horizon " << (last + 10.0) << '\n';
+  if (scope.chaos.has_quorum) {
+    text << "quorum " << scope.chaos.quorum.q_r << ' '
+         << scope.chaos.quorum.q_w << '\n';
+  }
+  // save_system round-trips the topology, but its `name` line must go:
+  // `name` is a chaos-level directive (load_chaos consumes it), so an
+  // embedded topology name would clobber the plan name — and an empty
+  // one would not even parse.
+  std::ostringstream saved_system;
+  io::save_system(saved_system, *scope.chaos.system);
+  std::istringstream system_lines(saved_system.str());
+  std::string system_line;
+  while (std::getline(system_lines, system_line)) {
+    if (system_line.rfind("name", 0) == 0) continue;
+    text << system_line << '\n';
+  }
+  for (const std::string& m : scope.chaos.mutations) {
+    text << "mutate " << m << '\n';
+  }
+  double t = base_time;
+  for (const Step& s : steps) {
+    text << "at " << t << ' ' << render_step(s) << '\n';
+    t += step_dt;
+  }
+  return text.str();
 }
 
 } // namespace
@@ -170,22 +126,21 @@ EmittedChaos emit_chaos(const Scope& scope, const Violation& violation,
 
   // Grid search: the model's delivery orderings cannot be scripted, so
   // find a (spacing, seed) under which the timed simulator's natural
-  // message timing re-creates the race.
-  double step_dt = opt.step_grid.empty() ? 1.0 : opt.step_grid.front();
+  // message timing re-creates the race. Each candidate is validated from
+  // its own text, so the plan that reproduced is the file written below.
+  out.step = opt.step_grid.empty() ? 1.0 : opt.step_grid.front();
+  std::string body = plan_body(scope, steps, opt.base_time, out.step);
   if (!target.empty()) {
     for (const double dt : opt.step_grid) {
-      fault::FaultPlan plan;
-      double t = opt.base_time;
-      for (const Step& s : steps) {
-        add_to_plan(plan, s, t);
-        t += dt;
-      }
-      const double horizon = t + 10.0;
+      std::string candidate = plan_body(scope, steps, opt.base_time, dt);
+      std::istringstream in(candidate);
+      const fault::ChaosSpec plan = fault::load_chaos(in);
       for (std::uint64_t seed = 1; seed <= opt.max_seed; ++seed) {
-        if (reproduces(scope, plan, seed, horizon, target)) {
+        if (reproduces(plan, seed, target)) {
           out.validated = true;
           out.seed = seed;
-          step_dt = dt;
+          out.step = dt;
+          body = std::move(candidate);
           break;
         }
       }
@@ -209,40 +164,7 @@ EmittedChaos emit_chaos(const Scope& scope, const Violation& violation,
   text << '\n';
   text << "name " << scope.name() << "-counterexample\n";
   text << "seed " << out.seed << '\n';
-
-  double t = opt.base_time;
-  double last = opt.base_time;
-  for (const Step& s : steps) {
-    (void)s;
-    last = t;
-    t += step_dt;
-  }
-  text << "horizon " << (last + 10.0) << '\n';
-  if (scope.chaos.has_quorum) {
-    text << "quorum " << scope.chaos.quorum.q_r << ' '
-         << scope.chaos.quorum.q_w << '\n';
-  }
-  // save_system round-trips the topology, but its `name` line must go:
-  // `name` is a chaos-level directive (load_chaos consumes it), so an
-  // embedded topology name would clobber the plan name above — and an
-  // empty one would not even parse.
-  std::ostringstream saved_system;
-  io::save_system(saved_system, *scope.chaos.system);
-  std::istringstream system_lines(saved_system.str());
-  std::string system_line;
-  while (std::getline(system_lines, system_line)) {
-    if (system_line.rfind("name", 0) == 0) continue;
-    text << system_line << '\n';
-  }
-  for (const std::string& m : scope.chaos.mutations) {
-    text << "mutate " << m << '\n';
-  }
-  t = opt.base_time;
-  for (const Step& s : steps) {
-    text << "at " << t << ' ' << render_action(s) << '\n';
-    t += step_dt;
-  }
-  out.step = step_dt;
+  text << body;
   out.text = text.str();
   return out;
 }

@@ -1,6 +1,7 @@
 #include "model/explorer.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -23,60 +24,16 @@ const char* message_kind_name(msg::Message::Kind k) {
   return "?";
 }
 
-const char* event_kind_name(Cluster::ModelEventKind k) {
-  switch (k) {
-    case Cluster::ModelEventKind::kDelivery: return "deliver";
-    case Cluster::ModelEventKind::kTimer: return "timer";
-    case Cluster::ModelEventKind::kRetry: return "retry";
-    case Cluster::ModelEventKind::kOther: return "event";
-  }
-  return "?";
-}
-
-/// Renders a scope fault action for counterexample listings.
-std::string action_brief(const fault::Action& a) {
-  using Kind = fault::Action::Kind;
-  switch (a.kind) {
-    case Kind::kSiteDown: return "site " + std::to_string(a.site) + " down";
-    case Kind::kSiteUp: return "site " + std::to_string(a.site) + " up";
-    case Kind::kLinkDown: return "link " + std::to_string(a.link) + " down";
-    case Kind::kLinkUp: return "link " + std::to_string(a.link) + " up";
-    case Kind::kPartition: return "partition";
-    case Kind::kHeal: return "heal";
-    case Kind::kHealLinks: return "heal-links";
-    case Kind::kReassign:
-      return "reassign " + std::to_string(a.next.q_r) + " " +
-             std::to_string(a.next.q_w) + " from " + std::to_string(a.site);
-    case Kind::kDomainDown: return "domain " + a.domain + " down";
-    case Kind::kDomainUp: return "domain " + a.domain + " up";
-    case Kind::kOneWayDown:
-      return "oneway " + std::to_string(a.site) + " " +
-             std::to_string(a.site_b) + " down";
-    case Kind::kOneWayUp:
-      return "oneway " + std::to_string(a.site) + " " +
-             std::to_string(a.site_b) + " up";
-    default: return "action";
-  }
-}
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t w) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int b = 0; b < 8; ++b) {
-    h ^= (w >> (8 * b)) & 0xFFull;
-    h *= kPrime;
-  }
-  return h;
-}
-
-/// True when the recorded descriptor names this enabled event.
-bool same_descriptor(const Choice& c, const Cluster::ModelEvent& e) {
-  if (c.event_kind != e.kind || c.target != e.target || c.link != e.index ||
-      c.request != e.request || c.phase != e.phase) {
+/// True when two enabled events are the same transition, whatever their
+/// queue sequence numbers.
+bool same_descriptor(const Cluster::ModelEvent& x, const Cluster::ModelEvent& y) {
+  if (x.kind != y.kind || x.target != y.target || x.index != y.index ||
+      x.request != y.request || x.phase != y.phase) {
     return false;
   }
-  if (e.kind != Cluster::ModelEventKind::kDelivery) return true;
-  const msg::Message& a = c.message;
-  const msg::Message& b = e.message;
+  if (x.kind != Cluster::ModelEventKind::kDelivery) return true;
+  const msg::Message& a = x.message;
+  const msg::Message& b = y.message;
   return a.kind == b.kind && a.is_write == b.is_write &&
          a.request == b.request && a.coordinator == b.coordinator &&
          a.sender == b.sender && a.replier == b.replier &&
@@ -84,25 +41,26 @@ bool same_descriptor(const Choice& c, const Cluster::ModelEvent& e) {
          a.qr_version == b.qr_version && a.qr_r == b.qr_r && a.qr_w == b.qr_w;
 }
 
+/// True when a recorded choice names this enabled transition.
+bool same_choice(const Choice& x, const Choice& y) {
+  if (x.kind != y.kind) return false;
+  if (x.kind != Choice::Kind::kEvent) return x.index == y.index;
+  return x.occurrence == y.occurrence && same_descriptor(x.event, y.event);
+}
+
 std::uint64_t descriptor_key(const Choice& c) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = mix64(h, static_cast<std::uint64_t>(c.kind));
-  h = mix64(h, c.index);
-  h = mix64(h, static_cast<std::uint64_t>(c.event_kind));
-  h = mix64(h, c.target);
-  h = mix64(h, c.link);
-  h = mix64(h, c.request);
-  h = mix64(h, static_cast<std::uint64_t>(c.phase));
-  h = mix64(h, c.occurrence);
-  if (c.event_kind == Cluster::ModelEventKind::kDelivery) {
-    const msg::Message& m = c.message;
-    h = mix64(h, static_cast<std::uint64_t>(m.kind));
-    h = mix64(h, m.is_write ? 1 : 0);
-    h = mix64(h, m.request);
-    h = mix64(h, m.sender);
-    h = mix64(h, m.replier);
-    h = mix64(h, m.version);
-    h = mix64(h, m.qr_version);
+  std::uint64_t h = msg::kFnvOffset;
+  const auto mix = [&h](std::initializer_list<std::uint64_t> words) {
+    for (const std::uint64_t w : words) h = msg::fnv1a_step(h, w);
+  };
+  const Cluster::ModelEvent& e = c.event;
+  mix({static_cast<std::uint64_t>(c.kind), c.index,
+       static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
+       static_cast<std::uint64_t>(e.phase), c.occurrence});
+  if (e.kind == Cluster::ModelEventKind::kDelivery) {
+    const msg::Message& m = e.message;
+    mix({static_cast<std::uint64_t>(m.kind), m.is_write ? 1u : 0u, m.request,
+         m.sender, m.replier, m.version, m.qr_version});
   }
   return h;
 }
@@ -119,7 +77,7 @@ std::string Choice::describe(const Scope& scope) const {
     case Kind::kFault: {
       std::string out = "fault:";
       for (const fault::Action& a : scope.faults[index]) {
-        out += " " + action_brief(a) + ";";
+        out += " " + fault::render_action(a) + ";";
       }
       out.pop_back();
       return out;
@@ -127,14 +85,16 @@ std::string Choice::describe(const Scope& scope) const {
     case Kind::kEvent:
       break;
   }
-  std::string out = event_kind_name(event_kind);
-  if (event_kind == Cluster::ModelEventKind::kDelivery) {
-    out += std::string(" ") + message_kind_name(message.kind) + " req " +
-           std::to_string(message.request) + " -> site " +
-           std::to_string(target) + " (link " + std::to_string(link) + ")";
+  std::string out;
+  if (event.kind == Cluster::ModelEventKind::kDelivery) {
+    out = std::string("deliver ") + message_kind_name(event.message.kind) +
+          " req " + std::to_string(event.message.request) + " -> site " +
+          std::to_string(event.target) + " (link " +
+          std::to_string(event.index) + ")";
   } else {
-    out += " site " + std::to_string(target) + " req " +
-           std::to_string(request) + " phase " + std::to_string(phase);
+    out = "timer site " + std::to_string(event.target) + " req " +
+          std::to_string(event.request) + " phase " +
+          std::to_string(event.phase);
   }
   if (occurrence != 0) out += " #" + std::to_string(occurrence);
   return out;
@@ -152,8 +112,7 @@ std::vector<std::string> Violation::codes() const {
 }
 
 struct Explorer::Transition {
-  Choice choice;
-  std::uint64_t seq = 0;    // kEvent: live handle in the current state
+  Choice choice;            // kEvent: choice.event.seq is the live handle
   std::uint64_t key = 0;    // sleep-set / covering identity (content hash)
   net::SiteId site = 0;     // dependence site for kEvent
   bool global = false;      // kSubmit / kFault: dependent with everything
@@ -172,17 +131,9 @@ Explorer::Explorer(const Scope& scope, Options opt)
 }
 
 msg::Cluster Explorer::make_cluster() const {
-  const net::Topology& topo = scope_->chaos.system->topology;
-  Cluster::Params params;
+  Cluster::Params params = msg::chaos_params(scope_->chaos);
   params.model_mode = true;
-  params.spec = scope_->chaos.has_quorum
-                    ? scope_->chaos.quorum
-                    : quorum::majority(topo.total_votes());
-  for (const std::string& m : scope_->chaos.mutations) {
-    if (m == "accept-stale-qr") params.mutations.accept_stale_qr = true;
-    if (m == "skip-crash-cleanup") params.mutations.skip_crash_cleanup = true;
-  }
-  return Cluster(topo, params, /*seed=*/1);
+  return Cluster(scope_->chaos.system->topology, params, /*seed=*/1);
 }
 
 std::vector<Explorer::Transition> Explorer::enabled_transitions(
@@ -215,19 +166,13 @@ std::vector<Explorer::Transition> Explorer::enabled_transitions(
   for (const Cluster::ModelEvent& e : events) {
     Transition t;
     t.choice.kind = Choice::Kind::kEvent;
-    t.choice.event_kind = e.kind;
-    t.choice.target = e.target;
-    t.choice.link = e.index;
-    t.choice.request = e.request;
-    t.choice.phase = e.phase;
-    t.choice.message = e.message;
+    t.choice.event = e;
     for (const Transition& prev : out) {
       if (prev.choice.kind == Choice::Kind::kEvent &&
-          same_descriptor(prev.choice, e)) {
+          same_descriptor(prev.choice.event, e)) {
         ++t.choice.occurrence;
       }
     }
-    t.seq = e.seq;
     t.site = e.target;
     t.key = descriptor_key(t.choice);
     out.push_back(std::move(t));
@@ -239,7 +184,7 @@ void Explorer::apply(msg::Cluster& c, const Transition& t,
                      std::uint32_t& submitted, std::uint32_t& faulted) const {
   switch (t.choice.kind) {
     case Choice::Kind::kEvent: {
-      const bool fired = c.model_step_event(t.seq);
+      const bool fired = c.model_step_event(t.choice.event.seq);
       QUORA_PRECONDITION(fired, "enabled event vanished before firing");
       break;
     }
@@ -374,13 +319,7 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
     cur.model_serialize(words);
     words.push_back(submitted);
     words.push_back(faulted);
-    std::uint64_t h1 = 1469598103934665603ull;
-    std::uint64_t h2 = 0x9E3779B97F4A7C15ull;
-    for (const std::uint64_t w : words) {
-      h1 = mix64(h1, w);
-      h2 = (h2 * 0x100000001B3ull) ^ (w + (h2 >> 7));
-    }
-    auto [it, fresh] = visited_.try_emplace(std::make_pair(h1, h2));
+    auto [it, fresh] = visited_.try_emplace(msg::model_hash(words));
     if (fresh) {
       ++stats_.unique_states;
       if (stats_.unique_states > scope_->max_states) {
@@ -479,44 +418,15 @@ std::optional<Violation> Explorer::replay(
     return v;
   }
   for (const Choice& choice : trace) {
-    switch (choice.kind) {
-      case Choice::Kind::kSubmit: {
-        if (choice.index >= scope_->accesses.size() ||
-            ((submitted >> choice.index) & 1u)) {
-          return std::nullopt;
-        }
-        const fault::Action& a = scope_->accesses[choice.index];
-        c.model_submit_access(a.site, a.is_read);
-        submitted |= 1u << choice.index;
-        break;
-      }
-      case Choice::Kind::kFault:
-        if (choice.index >= scope_->faults.size() ||
-            ((faulted >> choice.index) & 1u)) {
-          return std::nullopt;
-        }
-        for (const fault::Action& a : scope_->faults[choice.index]) {
-          c.model_apply_fault(a);
-        }
-        faulted |= 1u << choice.index;
-        break;
-      case Choice::Kind::kEvent: {
-        std::uint64_t seq = 0;
-        std::uint32_t seen = 0;
-        bool matched = false;
-        for (const msg::Cluster::ModelEvent& e : c.model_enabled_events()) {
-          if (!same_descriptor(choice, e)) continue;
-          if (seen++ == choice.occurrence) {
-            seq = e.seq;
-            matched = true;
-            break;
-          }
-        }
-        if (!matched || !c.model_step_event(seq)) return std::nullopt;
-        break;
-      }
-    }
-    done.push_back(choice);
+    // Resolve the recorded choice in this state; it may no longer apply.
+    const std::vector<Transition> enabled =
+        enabled_transitions(c, submitted, faulted);
+    const auto t = std::find_if(
+        enabled.begin(), enabled.end(),
+        [&choice](const Transition& e) { return same_choice(e.choice, choice); });
+    if (t == enabled.end()) return std::nullopt;
+    apply(c, *t, submitted, faulted);
+    done.push_back(t->choice);
     std::vector<std::uint64_t> cur_qr = stored_qr_versions(c);
     if (std::optional<Violation> v = check_state(c, prev_qr)) {
       v->trace = done;

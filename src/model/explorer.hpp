@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -9,7 +10,6 @@
 #include "model/scope.hpp"
 #include "msg/cluster.hpp"
 #include "msg/invariants.hpp"
-#include "net/types.hpp"
 
 namespace quora::model {
 
@@ -23,14 +23,10 @@ struct Choice {
   Kind kind = Kind::kEvent;
   /// kSubmit / kFault: position in the scope's access / fault alphabet.
   std::uint32_t index = 0;
-  // kEvent descriptor: the enabled pending event to fire.
-  msg::Cluster::ModelEventKind event_kind =
-      msg::Cluster::ModelEventKind::kOther;
-  net::SiteId target = 0;
-  std::uint32_t link = 0;
-  std::uint64_t request = 0;
-  int phase = 0;
-  msg::Message message{};  // deliveries only
+  /// kEvent: the enabled pending event to fire. Its `seq` is a handle
+  /// into the state it was enumerated in only; the other fields are the
+  /// descriptor a replay matches.
+  msg::Cluster::ModelEvent event{};
   /// Rank among enabled events with an identical descriptor (enumeration
   /// order), disambiguating true duplicates.
   std::uint32_t occurrence = 0;
@@ -136,8 +132,7 @@ private:
   Stats stats_;
   std::optional<Violation> found_;
   /// fingerprint -> sleep-key sets it was explored under (each sorted).
-  std::map<std::pair<std::uint64_t, std::uint64_t>,
-           std::vector<std::vector<std::uint64_t>>>
+  std::map<std::array<std::uint64_t, 2>, std::vector<std::vector<std::uint64_t>>>
       visited_;
 };
 

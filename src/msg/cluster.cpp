@@ -1,5 +1,6 @@
 #include "msg/cluster.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -19,6 +20,25 @@ void logf(fault::EventLog* log, double t, char (&buf)[N], const char* fmt,
   if (log == nullptr) return;
   std::snprintf(buf, N, fmt, args...);
   log->record(t, buf);
+}
+
+/// The flood a message belongs to: phase 1 (votes), 2 (commit), 3 (abort).
+int flood_phase(Message::Kind kind) {
+  switch (kind) {
+    case Message::Kind::kVoteRequest:
+    case Message::Kind::kVoteReply:
+    case Message::Kind::kVoteDeny: return 1;
+    case Message::Kind::kCommitRequest:
+    case Message::Kind::kCommitAck: return 2;
+    case Message::Kind::kAbort: return 3;
+  }
+  return 3;
+}
+
+/// Replies travel back to their coordinator along the flood's parent links.
+bool is_reply(Message::Kind kind) {
+  return kind == Message::Kind::kVoteReply || kind == Message::Kind::kVoteDeny ||
+         kind == Message::Kind::kCommitAck;
 }
 
 } // namespace
@@ -53,8 +73,7 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
   if (!(params_.alpha >= 0.0 && params_.alpha <= 1.0)) {
     throw std::invalid_argument("Cluster: alpha outside [0,1]");
   }
-  if (params_.commit_timeout < 0.0 || params_.backoff_base < 0.0 ||
-      params_.access_budget < 0.0 || params_.lease_timeout < 0.0 ||
+  if (params_.backoff_base < 0.0 || params_.access_budget < 0.0 ||
       !(params_.backoff_jitter >= 0.0 && params_.backoff_jitter <= 1.0)) {
     throw std::invalid_argument("Cluster: negative retry/timeout parameter");
   }
@@ -67,8 +86,6 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
   // through; contracts catch what validation cannot express.
   QUORA_PRECONDITION(std::isfinite(params_.mean_hop_latency) &&
                          std::isfinite(params_.phase_timeout) &&
-                         std::isfinite(params_.commit_timeout) &&
-                         std::isfinite(params_.lease_timeout) &&
                          std::isfinite(params_.backoff_base) &&
                          std::isfinite(params_.backoff_jitter) &&
                          std::isfinite(params_.access_budget) &&
@@ -82,14 +99,14 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
     // timed schedule exhibits. Leases release only via commit, abort, or
     // crash. Retries are disabled for the same reason (their backoff
     // draws jitter; the model relation must be RNG-free).
-    params_.lease_timeout = 1e12;
+    lease_lifetime_ = 1e12;
     params_.max_retries = 0;
     params_.backoff_jitter = 0.0;
-  } else if (params_.lease_timeout <= 0.0) {
+  } else {
     // One attempt's worst-case window: phase 1 plus the commit deadline,
     // with slack. Retries abort the old request id first, so the lease
     // only ever has to cover a single attempt.
-    params_.lease_timeout = 1.5 * params_.phase_timeout + commit_deadline();
+    lease_lifetime_ = 1.5 * params_.phase_timeout + params_.phase_timeout;
   }
   copies_.assign(topo.site_count(), Copy{});
   leases_.assign(topo.site_count(), Lease{});
@@ -134,17 +151,14 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
 
   const double mu_f = params_.config.mu_fail();
   for (net::SiteId s = 0; s < topo.site_count(); ++s) {
-    queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail, s,
-                      {}, 0, 0, 0});
+    schedule(rng::exponential(gen_, mu_f), Kind::kSiteFail, s);
   }
   for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-    queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail, l,
-                      {}, 0, 0, 0});
+    schedule(rng::exponential(gen_, mu_f), Kind::kLinkFail, l);
   }
   const double interarrival =
       params_.config.mu_access / static_cast<double>(topo.site_count());
-  queue_.push(Event{now_ + rng::exponential(gen_, interarrival), 0, Kind::kAccess,
-                    0, {}, 0, 0, 0});
+  schedule(rng::exponential(gen_, interarrival), Kind::kAccess, 0);
 }
 
 void Cluster::set_trace(obs::TraceRecorder* trace) {
@@ -241,8 +255,16 @@ void Cluster::attach_adaptive(adapt::AdaptiveController* controller) {
         "Cluster::attach_adaptive: controller sized for a different system");
   }
   adapt_window_start_ = outcomes_.size();
-  queue_.push(Event{now_ + controller->options().epoch_length, 0,
-                    Kind::kAdaptEpoch, 0, {}, 0, 0, 0});
+  schedule(controller->options().epoch_length, Kind::kAdaptEpoch, 0);
+}
+
+void Cluster::schedule(double delay, Kind kind, std::uint32_t index) {
+  queue_.push(Event{now_ + delay, 0, kind, index, {}, 0, 0, 0});
+}
+
+void Cluster::arm_timer(net::SiteId site, std::uint64_t request, int phase) {
+  queue_.push(Event{now_ + params_.phase_timeout, 0, Kind::kTimer, 0, {}, site,
+                    request, phase});
 }
 
 void Cluster::stamp(Message& m, net::SiteId author) const {
@@ -262,8 +284,7 @@ void Cluster::maybe_adopt(net::SiteId here, const Message& m) {
 void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
   const net::Link& edge = topo_->link(link);
   const net::SiteId to = edge.a == from ? edge.b : edge.a;
-  const std::size_t dir =
-      2 * static_cast<std::size_t>(link) + (edge.a == from ? 0 : 1);
+  const std::size_t dir = direction(link, to);
 
   const net::LinkLatency& hop = hop_latency_[link];
   fault::MessageFault fate;
@@ -304,23 +325,59 @@ void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
   }
 }
 
-void Cluster::flood(net::SiteId from, std::uint64_t flood_id, const Message& m,
-                    net::LinkId except_link, bool has_except) {
-  (void)flood_id;
+void Cluster::flood(net::SiteId from, const Message& m, net::LinkId except_link,
+                    bool has_except) {
   for (const net::Topology::Edge& edge : topo_->neighbors(from)) {
     if (has_except && edge.link == except_link) continue;
     send(from, edge.link, m);
   }
 }
 
+void Cluster::start_flood(net::SiteId site, Message m) {
+  floods_[site][flood_key(m.request, flood_phase(m.kind))] = FloodState{0, false};
+  m.coordinator = site;
+  stamp(m, site);
+  flood(site, m, 0, false);
+}
+
+void Cluster::answer(net::SiteId here, net::LinkId link, const Message& m,
+                     Message::Kind kind, std::uint64_t version,
+                     std::uint64_t value) {
+  Message reply;
+  reply.kind = kind;
+  reply.request = m.request;
+  reply.coordinator = m.coordinator;
+  reply.replier = here;
+  reply.votes = topo_->votes(here);
+  reply.version = version;
+  reply.value = value;
+  stamp(reply, here);
+  send(here, link, reply);
+  flood(here, m, link, true);  // the flood continues regardless
+}
+
 void Cluster::relay_toward_coordinator(net::SiteId at, const Message& m) {
-  const int phase = (m.kind == Message::Kind::kVoteReply ||
-                     m.kind == Message::Kind::kVoteDeny)
-                        ? 1
-                        : 2;
-  const auto it = floods_[at].find(flood_key(m.request, phase));
+  const auto it = floods_[at].find(flood_key(m.request, flood_phase(m.kind)));
   if (it == floods_[at].end() || !it->second.has_parent) return;  // path lost
   send(at, it->second.parent_link, m);
+}
+
+Cluster::Pending* Cluster::find_coordination(net::SiteId site,
+                                             std::uint64_t request, int phase) {
+  const auto it = pending_[site].find(request);
+  if (it == pending_[site].end() || it->second.phase != phase) return nullptr;
+  return &it->second;
+}
+
+bool Cluster::lease_vote(net::SiteId site, std::uint64_t request) {
+  Lease& lease = leases_[site];
+  if (lease.held(now_) && lease.request != request) return false;
+  lease = Lease{request, now_ + lease_lifetime_};
+  return true;
+}
+
+void Cluster::release_lease(net::SiteId site, std::uint64_t request) {
+  if (leases_[site].request == request) leases_[site] = Lease{};
 }
 
 void Cluster::handle_access(net::SiteId origin) {
@@ -355,18 +412,10 @@ void Cluster::submit_access(net::SiteId origin, bool is_read) {
     out.decide_time = now_;
     out.origin = origin;
     out.is_read = is_read;
-    out.granted = false;
     out.deny_reason = DenyReason::kOriginDown;
     out.qr_version = qr_.stored(origin).version;
     out.oracle_granted = oracle;
-    outcomes_.push_back(out);
-    ++decided_;
-    QUORA_METRIC_ADD(
-        obs_denies_[static_cast<std::size_t>(DenyReason::kOriginDown)], 1);
-    QUORA_METRIC_RECORD(obs_access_latency_, 0.0);
-    record_region(origin, false, 0.0);
-    QUORA_TRACE(trace_, obs::EventKind::kAccessDeny, origin, request, 0,
-                static_cast<std::uint8_t>(DenyReason::kOriginDown));
+    record_outcome(out, request);
     char buf[160];
     logf(log_, now_, buf, "decide id=%llu origin=%u %s denied reason=%s",
          static_cast<unsigned long long>(request), origin,
@@ -411,66 +460,62 @@ void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
   QUORA_TRACE(trace_, obs::EventKind::kRoundStart, origin, request,
               p.obs_prev_request, static_cast<std::uint8_t>(p.attempt));
 
-  if (!p.is_read) {
-    Lease& lease = leases_[origin];
-    if (lease.held(now_) && lease.request != request) {
-      // Our own vote is leased to another in-flight write: this write
-      // cannot proceed from here right now.
-      decide(origin, request, false, DenyReason::kNoQuorum);
-      return;
-    }
-    lease = Lease{request, now_ + params_.lease_timeout};
+  if (!p.is_read && !lease_vote(origin, request)) {
+    // Our own vote is leased to another in-flight write: this write
+    // cannot proceed from here right now.
+    decide(origin, request, false, DenyReason::kNoQuorum);
+    return;
   }
-
-  floods_[origin][flood_key(request, 1)] = FloodState{0, false};
 
   Message m;
   m.kind = Message::Kind::kVoteRequest;
   m.is_write = !p.is_read;
   m.request = request;
-  m.coordinator = origin;
-  stamp(m, origin);
-  flood(origin, flood_key(request, 1), m, 0, false);
-
-  Event timer;
-  timer.time = now_ + params_.phase_timeout;
-  timer.kind = Kind::kTimer;
-  timer.target = origin;
-  timer.request = request;
-  timer.phase = 1;
-  queue_.push(timer);
+  start_flood(origin, m);
+  arm_timer(origin, request, 1);
 
   // Single-site quorums decide immediately.
-  Pending& live_p = pending_[origin][request];
-  if (live_p.is_read && live_p.spec.allows_read(live_p.votes)) {
+  if (p.is_read && p.spec.allows_read(p.votes)) {
     decide(origin, request, true);
-  } else if (!live_p.is_read && live_p.spec.allows_write(live_p.votes)) {
-    // Degenerate write quorum: apply locally, done.
-    live_p.phase = 2;
-    QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - live_p.obs_attempt_start);
-    QUORA_OBS_ONLY(live_p.obs_phase2_start = now_;)
-    live_p.best_version = live_p.best_version + 1;
-    copies_[origin] = Copy{live_p.write_value, live_p.best_version};
-    if (leases_[origin].request == request) leases_[origin] = Lease{};
-    live_p.acked = topo_->votes(origin);
-    live_p.ackers.insert(origin);
-    if (maybe_crash_on_commit(origin, request)) return;
-    decide(origin, request, true);
+  } else if (!p.is_read && p.spec.allows_write(p.votes)) {
+    begin_commit(origin, request, p);
   }
+}
+
+void Cluster::begin_commit(net::SiteId site, std::uint64_t request,
+                           Pending& p) {
+  p.phase = 2;
+  QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - p.obs_attempt_start);
+  QUORA_OBS_ONLY(p.obs_phase2_start = now_;)
+  p.best_version = p.best_version + 1;
+  copies_[site] = Copy{p.write_value, p.best_version};
+  release_lease(site, request);
+  p.acked = topo_->votes(site);
+  p.ackers.insert(site);
+  if (!p.spec.allows_write(p.acked)) {
+    // Install the new version everywhere reachable.
+    Message commit;
+    commit.kind = Message::Kind::kCommitRequest;
+    commit.request = request;
+    commit.version = p.best_version;
+    commit.value = p.write_value;
+    start_flood(site, commit);
+    arm_timer(site, request, 2);
+  }
+  // The partial-write scenario: the commit flood has departed, the ack
+  // quorum has not assembled — a scripted crash lands exactly in the gap.
+  if (maybe_crash_on_commit(site, request)) return;
+  // A degenerate write quorum: the local commit alone decides.
+  if (p.spec.allows_write(p.acked)) decide(site, request, true);
 }
 
 void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
   const auto it = pending_[coordinator].find(old_request);
   Pending p = std::move(it->second);
   pending_[coordinator].erase(it);
-  if (!p.is_read) {
-    // Release our own lease and flood an abort so remote leases for the
-    // dead attempt free up instead of starving the retry.
-    if (leases_[coordinator].request == old_request) {
-      leases_[coordinator] = Lease{};
-    }
-    abort_flood(coordinator, old_request);
-  }
+  // A write floods an abort, which also frees our own lease, so remote
+  // leases for the dead attempt free up instead of starving the retry.
+  if (!p.is_read) abort_flood(coordinator, old_request);
 
   ++p.attempt;
   ++retries_;
@@ -493,12 +538,8 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
        static_cast<unsigned long long>(request));
 
   pending_[coordinator].emplace(request, std::move(p));
-  Event e;
-  e.time = now_ + backoff;
-  e.kind = Kind::kRetry;
-  e.target = coordinator;
-  e.request = request;
-  queue_.push(e);
+  queue_.push(Event{now_ + backoff, 0, Kind::kRetry, 0, {}, coordinator,
+                    request, 0});
 }
 
 void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
@@ -522,25 +563,13 @@ void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
   out.oracle_granted = p.oracle_granted;
   out.version = p.best_version;
   out.value = p.is_read ? p.best_value : p.write_value;
-  outcomes_.push_back(out);
   if (!p.is_read && granted) {
     commits_.push_back(CommitRecord{p.best_version, now_});
   }
 
   QUORA_TRACE(trace_, obs::EventKind::kRoundFinish, coordinator, request, 0,
               static_cast<std::uint8_t>(p.phase));
-  if (granted) {
-    QUORA_METRIC_ADD(obs_grants_, 1);
-    QUORA_TRACE(trace_, obs::EventKind::kAccessGrant, coordinator, request,
-                out.version, static_cast<std::uint8_t>(p.attempt));
-  } else {
-    QUORA_METRIC_ADD(
-        obs_denies_[static_cast<std::size_t>(out.deny_reason)], 1);
-    QUORA_TRACE(trace_, obs::EventKind::kAccessDeny, coordinator, request,
-                out.version, static_cast<std::uint8_t>(out.deny_reason));
-  }
-  QUORA_METRIC_RECORD(obs_access_latency_, now_ - p.submit_time);
-  record_region(coordinator, granted, now_ - p.submit_time);
+  record_outcome(out, request);
   QUORA_OBS_ONLY(if (p.phase == 2) {
     QUORA_METRIC_RECORD(obs_commit_latency_, now_ - p.obs_phase2_start);
   } else {
@@ -558,23 +587,48 @@ void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
 
   const bool abort_write = !p.is_read && !granted;
   pending_[coordinator].erase(it);
-  ++decided_;
 
   if (abort_write) abort_flood(coordinator, request);
+}
+
+void Cluster::record_outcome(const AccessOutcome& out,
+                             [[maybe_unused]] std::uint64_t request) {
+  outcomes_.push_back(out);
+  ++decided_;
+  if (out.granted) {
+    QUORA_METRIC_ADD(obs_grants_, 1);
+    QUORA_TRACE(trace_, obs::EventKind::kAccessGrant, out.origin, request,
+                out.version, static_cast<std::uint8_t>(out.attempts));
+  } else {
+    QUORA_METRIC_ADD(
+        obs_denies_[static_cast<std::size_t>(out.deny_reason)], 1);
+    QUORA_TRACE(trace_, obs::EventKind::kAccessDeny, out.origin, request,
+                out.version, static_cast<std::uint8_t>(out.deny_reason));
+  }
+  [[maybe_unused]] const double latency = out.decide_time - out.submit_time;
+  QUORA_METRIC_RECORD(obs_access_latency_, latency);
+  // Per-domain (region-level) breakdown; none on unannotated topologies
+  // or for sites outside every region.
+  if (site_region_.empty()) return;
+  const std::uint32_t r = site_region_[out.origin];
+  if (r == kNoRegion || r >= obs_region_grants_.size()) return;
+  if (out.granted) {
+    QUORA_METRIC_ADD(obs_region_grants_[r], 1);
+  } else {
+    QUORA_METRIC_ADD(obs_region_denies_[r], 1);
+  }
+  QUORA_METRIC_RECORD(obs_region_latency_[r], latency);
 }
 
 void Cluster::abort_flood(net::SiteId coordinator, std::uint64_t request) {
   if (!live_.is_site_up(coordinator)) return;
   // Release leased votes proactively; lease expiry covers the sites an
   // abort cannot reach.
-  if (leases_[coordinator].request == request) leases_[coordinator] = Lease{};
+  release_lease(coordinator, request);
   Message abort;
   abort.kind = Message::Kind::kAbort;
   abort.request = request;
-  abort.coordinator = coordinator;
-  stamp(abort, coordinator);
-  floods_[coordinator][flood_key(request, 3)] = FloodState{0, false};
-  flood(coordinator, flood_key(request, 3), abort, 0, false);
+  start_flood(coordinator, abort);
 }
 
 void Cluster::handle_delivery(const Event& e) {
@@ -582,9 +636,7 @@ void Cluster::handle_delivery(const Event& e) {
   if (!live_.is_link_up(e.index) || !live_.is_site_up(e.target)) return;
   // One-way cuts discard at delivery time too — but invisibly to
   // LiveNetwork, so the oracle still believes the link works (gray).
-  const std::size_t dir = 2 * static_cast<std::size_t>(e.index) +
-                          (topo_->link(e.index).b == e.target ? 0 : 1);
-  if (dir_blocked_[dir] != 0) {
+  if (dir_blocked_[direction(e.index, e.target)] != 0) {
     ++oneway_losses_;
     return;
   }
@@ -595,85 +647,48 @@ void Cluster::handle_delivery(const Event& e) {
   // receiver behind it adopts before acting.
   maybe_adopt(here, m);
 
-  switch (m.kind) {
-    case Message::Kind::kVoteRequest: {
-      const std::uint64_t fk = flood_key(m.request, 1);
-      if (floods_[here].contains(fk)) return;  // already participated
-      floods_[here][fk] = FloodState{e.index, true};
-
-      const std::uint64_t my_version = qr_.stored(here).version;
-      if (m.qr_version < my_version && !params_.mutations.accept_stale_qr) {
-        // Stale-version rejection (§2.2): the coordinator is running a
-        // superseded assignment. Refuse the vote and carry the newer
-        // assignment back so it can adopt.
-        Message reply;
-        reply.kind = Message::Kind::kVoteDeny;
-        reply.request = m.request;
-        reply.coordinator = m.coordinator;
-        reply.replier = here;
-        reply.votes = topo_->votes(here);
-        reply.version = copies_[here].version;
-        reply.value = copies_[here].value;
-        stamp(reply, here);
-        send(here, e.index, reply);
-        flood(here, fk, m, e.index, true);
-        return;
-      }
-
-      bool vote_granted = true;
-      if (m.is_write) {
-        Lease& lease = leases_[here];
-        if (lease.held(now_) && lease.request != m.request) {
-          vote_granted = false;  // vote already leased to another write
-        } else {
-          lease = Lease{m.request, now_ + params_.lease_timeout};
-        }
-      }
-      Message reply;
-      reply.kind = vote_granted ? Message::Kind::kVoteReply
-                                : Message::Kind::kVoteDeny;
-      reply.request = m.request;
-      reply.coordinator = m.coordinator;
-      reply.replier = here;
-      reply.votes = topo_->votes(here);
-      reply.version = copies_[here].version;
-      reply.value = copies_[here].value;
-      stamp(reply, here);
-      send(here, e.index, reply);
-      flood(here, fk, m, e.index, true);  // the flood continues regardless
+  if (is_reply(m.kind)) {
+    if (here != m.coordinator) {
+      relay_toward_coordinator(here, m);
       return;
     }
-    case Message::Kind::kCommitRequest: {
-      const std::uint64_t fk = flood_key(m.request, 2);
-      if (floods_[here].contains(fk)) return;
-      floods_[here][fk] = FloodState{e.index, true};
+  } else if (!floods_[here]
+                  .try_emplace(flood_key(m.request, flood_phase(m.kind)),
+                               FloodState{e.index, true})
+                  .second) {
+    return;  // already participated in this flood
+  }
 
+  switch (m.kind) {
+    case Message::Kind::kVoteRequest: {
+      // Stale-version rejection (§2.2): a coordinator running a superseded
+      // assignment is refused, and the deny carries the newer assignment
+      // back so it can adopt. Otherwise a write vote is refused while it
+      // is leased to another write.
+      const bool stale = m.qr_version < qr_.stored(here).version &&
+                         !params_.mutations.accept_stale_qr;
+      const bool vote_granted =
+          !stale && (!m.is_write || lease_vote(here, m.request));
+      answer(here, e.index, m,
+             vote_granted ? Message::Kind::kVoteReply : Message::Kind::kVoteDeny,
+             copies_[here].version, copies_[here].value);
+      return;
+    }
+    case Message::Kind::kCommitRequest:
       if (m.version > copies_[here].version) {
         copies_[here] = Copy{m.value, m.version};
       }
-      if (leases_[here].request == m.request) leases_[here] = Lease{};
-      Message ack;
-      ack.kind = Message::Kind::kCommitAck;
-      ack.request = m.request;
-      ack.coordinator = m.coordinator;
-      ack.replier = here;
-      ack.votes = topo_->votes(here);
-      ack.version = m.version;
-      stamp(ack, here);
-      send(here, e.index, ack);
-      flood(here, fk, m, e.index, true);
+      release_lease(here, m.request);
+      answer(here, e.index, m, Message::Kind::kCommitAck, m.version, 0);
       return;
-    }
+    case Message::Kind::kAbort:
+      release_lease(here, m.request);
+      flood(here, m, e.index, true);
+      return;
     case Message::Kind::kVoteDeny: {
-      if (here != m.coordinator) {
-        relay_toward_coordinator(here, m);
-        return;
-      }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 1) return;
-      Pending& p = it->second;
-      if (!p.repliers.insert(m.replier).second) return;
-      if (m.qr_version > p.qr_version) {
+      Pending* p = find_coordination(here, m.request, 1);
+      if (p == nullptr || !p->repliers.insert(m.replier).second) return;
+      if (m.qr_version > p->qr_version) {
         // The replier holds a newer QR assignment than this coordination
         // ran under: the access must not proceed. (We already adopted the
         // newer assignment above; fresh accesses use it.)
@@ -682,113 +697,56 @@ void Cluster::handle_delivery(const Event& e) {
         logf(log_, now_, buf,
              "stale-reject id=%llu coord=%u coord_qrv=%llu seen_qrv=%llu",
              static_cast<unsigned long long>(m.request), here,
-             static_cast<unsigned long long>(p.qr_version),
+             static_cast<unsigned long long>(p->qr_version),
              static_cast<unsigned long long>(m.qr_version));
         decide(here, m.request, false, DenyReason::kStaleAssignment);
         return;
       }
-      p.denied += m.votes;
+      p->denied += m.votes;
       // Fast abort: a write quorum is no longer reachable.
-      if (!p.is_read && topo_->total_votes() - p.denied < p.spec.q_w) {
+      if (!p->is_read && topo_->total_votes() - p->denied < p->spec.q_w) {
         decide(here, m.request, false, DenyReason::kNoQuorum);
       }
       return;
     }
     case Message::Kind::kVoteReply: {
-      if (here != m.coordinator) {
-        relay_toward_coordinator(here, m);
-        return;
+      Pending* p = find_coordination(here, m.request, 1);
+      if (p == nullptr || !p->repliers.insert(m.replier).second) return;
+      p->votes += m.votes;
+      if (m.version > p->best_version) {
+        p->best_version = m.version;
+        p->best_value = m.value;
       }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 1) return;
-      Pending& p = it->second;
-      if (!p.repliers.insert(m.replier).second) return;
-      p.votes += m.votes;
-      if (m.version > p.best_version) {
-        p.best_version = m.version;
-        p.best_value = m.value;
+      if (p->is_read) {
+        if (p->spec.allows_read(p->votes)) decide(here, m.request, true);
+      } else if (p->spec.allows_write(p->votes)) {
+        begin_commit(here, m.request, *p);
       }
-      if (p.is_read) {
-        if (p.spec.allows_read(p.votes)) decide(here, m.request, true);
-        return;
-      }
-      if (p.spec.allows_write(p.votes)) {
-        // Phase 2: install the new version everywhere reachable.
-        p.phase = 2;
-        QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - p.obs_attempt_start);
-        QUORA_OBS_ONLY(p.obs_phase2_start = now_;)
-        p.best_version = p.best_version + 1;
-        copies_[here] = Copy{p.write_value, p.best_version};
-        if (leases_[here].request == m.request) leases_[here] = Lease{};
-        p.acked = topo_->votes(here);
-        p.ackers.insert(here);
-        floods_[here][flood_key(m.request, 2)] = FloodState{0, false};
-
-        Message commit;
-        commit.kind = Message::Kind::kCommitRequest;
-        commit.request = m.request;
-        commit.coordinator = here;
-        commit.version = p.best_version;
-        commit.value = p.write_value;
-        stamp(commit, here);
-        flood(here, flood_key(m.request, 2), commit, 0, false);
-
-        Event timer;
-        timer.time = now_ + commit_deadline();
-        timer.kind = Kind::kTimer;
-        timer.target = here;
-        timer.request = m.request;
-        timer.phase = 2;
-        queue_.push(timer);
-
-        // The partial-write scenario: the commit flood has departed, the
-        // ack quorum has not assembled — a scripted crash lands exactly in
-        // the gap.
-        if (maybe_crash_on_commit(here, m.request)) return;
-
-        if (p.spec.allows_write(p.acked)) decide(here, m.request, true);
-      }
-      return;
-    }
-    case Message::Kind::kAbort: {
-      const std::uint64_t fk = flood_key(m.request, 3);
-      if (floods_[here].contains(fk)) return;
-      floods_[here][fk] = FloodState{e.index, true};
-      if (leases_[here].request == m.request) leases_[here] = Lease{};
-      flood(here, fk, m, e.index, true);
       return;
     }
     case Message::Kind::kCommitAck: {
-      if (here != m.coordinator) {
-        relay_toward_coordinator(here, m);
-        return;
-      }
-      const auto it = pending_[here].find(m.request);
-      if (it == pending_[here].end() || it->second.phase != 2) return;
-      Pending& p = it->second;
-      if (!p.ackers.insert(m.replier).second) return;
-      p.acked += m.votes;
-      if (p.spec.allows_write(p.acked)) decide(here, m.request, true);
+      Pending* p = find_coordination(here, m.request, 2);
+      if (p == nullptr || !p->ackers.insert(m.replier).second) return;
+      p->acked += m.votes;
+      if (p->spec.allows_write(p->acked)) decide(here, m.request, true);
       return;
     }
   }
 }
 
 void Cluster::handle_timer(const Event& e) {
-  const auto it = pending_[e.target].find(e.request);
-  if (it == pending_[e.target].end()) return;    // already decided
-  if (it->second.phase != e.phase) return;       // superseded by phase 2
-  const Pending& p = it->second;
+  const Pending* p = find_coordination(e.target, e.request, e.phase);
+  if (p == nullptr) return;  // already decided, or superseded by phase 2
   const bool budget_ok =
       params_.access_budget <= 0.0 ||
-      now_ - p.submit_time < params_.access_budget;
-  if (e.phase == 1 && p.attempt < params_.max_retries && budget_ok &&
+      now_ - p->submit_time < params_.access_budget;
+  if (e.phase == 1 && p->attempt < params_.max_retries && budget_ok &&
       live_.is_site_up(e.target)) {
     retry(e.target, e.request);
     return;
   }
   decide(e.target, e.request, false,
-         p.attempt > 0 ? DenyReason::kAbandoned : DenyReason::kTimeout);
+         p->attempt > 0 ? DenyReason::kAbandoned : DenyReason::kTimeout);
 }
 
 bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
@@ -806,8 +764,7 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
   on_site_failed(coordinator);
   maybe_cascade(coordinator);
   if (*down_for > 0.0) {
-    queue_.push(Event{now_ + *down_for, 0, Kind::kSiteRecover, coordinator, {},
-                      0, 0, 0});
+    schedule(*down_for, Kind::kSiteRecover, coordinator);
   } else {
     // duration == 0: crash with immediate restart. Volatile coordination
     // state is gone (the pending request just resolved coordinator-crash)
@@ -849,21 +806,8 @@ void Cluster::maybe_cascade(net::SiteId failed) {
                 obs::kFaultSite);
     // One level of contagion only: victims recover via kFaultRecover and
     // never cascade themselves, so a rack rule cannot melt the fleet.
-    queue_.push(
-        Event{now_ + down_for, 0, Kind::kFaultRecover, victim, {}, 0, 0, 0});
+    schedule(down_for, Kind::kFaultRecover, victim);
   }
-}
-
-void Cluster::record_region(net::SiteId origin, bool granted, double latency) {
-  if (site_region_.empty()) return;
-  const std::uint32_t r = site_region_[origin];
-  if (r == kNoRegion || r >= obs_region_grants_.size()) return;
-  if (granted) {
-    QUORA_METRIC_ADD(obs_region_grants_[r], 1);
-  } else {
-    QUORA_METRIC_ADD(obs_region_denies_[r], 1);
-  }
-  QUORA_METRIC_RECORD(obs_region_latency_[r], latency);
 }
 
 void Cluster::sync_component_copies(net::SiteId origin) {
@@ -1018,9 +962,7 @@ void Cluster::apply_fault(const fault::Action& action) {
              down ? "down" : "up", action.site, action.site_b);
         break;
       }
-      const std::size_t dir = 2 * static_cast<std::size_t>(l) +
-                              (topo_->link(l).b == action.site_b ? 0 : 1);
-      dir_blocked_[dir] = down ? 1 : 0;
+      dir_blocked_[direction(l, action.site_b)] = down ? 1 : 0;
       logf(log_, now_, buf, "fault oneway-%s %u->%u link=%u",
            down ? "down" : "up", action.site, action.site_b, l);
       QUORA_TRACE(trace_,
@@ -1040,30 +982,26 @@ void Cluster::step(const Event& e) {
       on_site_failed(e.index);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push(Event{now_ + rng::exponential(gen_, mu_r), 0,
-                        Kind::kSiteRecover, e.index, {}, 0, 0, 0});
+      schedule(rng::exponential(gen_, mu_r), Kind::kSiteRecover, e.index);
       maybe_cascade(e.index);
       break;
     case Kind::kSiteRecover:
       live_.set_site_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kSiteFail,
-                        e.index, {}, 0, 0, 0});
+      schedule(rng::exponential(gen_, mu_f), Kind::kSiteFail, e.index);
       break;
     case Kind::kLinkFail:
       live_.set_link_up(e.index, false);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push(Event{now_ + rng::exponential(gen_, mu_r), 0,
-                        Kind::kLinkRecover, e.index, {}, 0, 0, 0});
+      schedule(rng::exponential(gen_, mu_r), Kind::kLinkRecover, e.index);
       break;
     case Kind::kLinkRecover:
       live_.set_link_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push(Event{now_ + rng::exponential(gen_, mu_f), 0, Kind::kLinkFail,
-                        e.index, {}, 0, 0, 0});
+      schedule(rng::exponential(gen_, mu_f), Kind::kLinkFail, e.index);
       break;
     case Kind::kAccess: {
       const auto origin = static_cast<net::SiteId>(
@@ -1071,8 +1009,7 @@ void Cluster::step(const Event& e) {
       handle_access(origin);
       const double interarrival =
           params_.config.mu_access / static_cast<double>(topo_->site_count());
-      queue_.push(Event{now_ + rng::exponential(gen_, interarrival), 0,
-                        Kind::kAccess, 0, {}, 0, 0, 0});
+      schedule(rng::exponential(gen_, interarrival), Kind::kAccess, 0);
       break;
     }
     case Kind::kDelivery:
@@ -1084,15 +1021,14 @@ void Cluster::step(const Event& e) {
     case Kind::kFault:
       apply_fault(injector_->timeline()[e.index]);
       break;
-    case Kind::kRetry: {
-      const auto it = pending_[e.target].find(e.request);
+    case Kind::kRetry:
       // The coordinator may have crashed while backing off (the pending
       // entry resolves as coordinator-crash when the site fails).
-      if (it == pending_[e.target].end()) break;
-      if (!live_.is_site_up(e.target)) break;
-      start_coordination(e.target, e.request);
+      if (pending_[e.target].contains(e.request) &&
+          live_.is_site_up(e.target)) {
+        start_coordination(e.target, e.request);
+      }
       break;
-    }
     case Kind::kFaultRecover:
       // A correlated-failure victim comes back. No Poisson rescheduling
       // and no draw: the site's own fail/repair process runs on.
@@ -1183,8 +1119,7 @@ void Cluster::handle_adapt_epoch() {
   } else {
     logf(log_, now_, buf, "adapt epoch skipped: no operational site");
   }
-  queue_.push(Event{now_ + adaptive_->options().epoch_length, 0,
-                    Kind::kAdaptEpoch, 0, {}, 0, 0, 0});
+  schedule(adaptive_->options().epoch_length, Kind::kAdaptEpoch, 0);
 }
 
 void Cluster::run_decided_accesses(std::uint64_t count) {
@@ -1217,6 +1152,33 @@ double Cluster::oracle_availability() const {
   std::uint64_t granted = 0;
   for (const AccessOutcome& o : outcomes_) granted += o.oracle_granted ? 1 : 0;
   return static_cast<double>(granted) / static_cast<double>(outcomes_.size());
+}
+
+Cluster::Params chaos_params(const fault::ChaosSpec& spec) {
+  Cluster::Params params;
+  params.spec = spec.has_quorum
+                    ? spec.quorum
+                    : quorum::majority(spec.system->topology.total_votes());
+  params.max_retries = 2;
+  // Seeded protocol mutations (checker-validation fixtures): the plan
+  // opts into a known-bad behaviour so the counterexample it carries
+  // reproduces the violation. audit_chaos warns on these.
+  for (const std::string& m : spec.mutations) {
+    if (m == "accept-stale-qr") params.mutations.accept_stale_qr = true;
+    if (m == "skip-crash-cleanup") params.mutations.skip_crash_cleanup = true;
+  }
+  const auto& actions = spec.plan.actions();
+  if (std::any_of(actions.begin(), actions.end(), [](const fault::Action& a) {
+        return a.kind == fault::Action::Kind::kSetReliability ||
+               a.kind == fault::Action::Kind::kSetRho;
+      })) {
+    params.config.reliability = 0.96;
+    params.config.rho = 1.0 / 128.0;
+  } else {
+    params.config.reliability = 0.999999;
+    params.config.rho = 1e-9;
+  }
+  return params;
 }
 
 } // namespace quora::msg

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,13 +103,8 @@ public:
   struct Params {
     quorum::QuorumSpec spec;
     double mean_hop_latency = 0.005;  // per link traversal
-    double phase_timeout = 0.5;       // per coordination phase (phase 1)
-    /// Phase-2 (commit/ack) deadline; 0 = same as phase_timeout.
-    double commit_timeout = 0.0;
-    /// Write-vote lease lifetime; must exceed one attempt's total window
-    /// so a vote is never granted twice while still countable. 0 = auto
-    /// (1.5 x phase_timeout + commit deadline).
-    double lease_timeout = 0.0;
+    /// Deadline of each coordination phase (vote collection, commit).
+    double phase_timeout = 0.5;
     /// Phase-1 retries after a timeout before the access is abandoned.
     /// 0 preserves the classic deny-on-first-timeout behaviour.
     std::uint32_t max_retries = 0;
@@ -244,29 +240,29 @@ public:
   // firing sequence — which is what `check_safety`'s real-time
   // comparisons then audit. See docs/MODEL_CHECKING.md.
 
+  /// Model mode schedules deliveries and phase timers and nothing else:
+  /// it has no injector and no background processes, and retries are off.
   enum class ModelEventKind : std::uint8_t {
     kDelivery = 0,
     kTimer = 1,
-    kRetry = 2,
-    kOther = 3,
   };
   /// One enabled transition. `seq` is the stable handle for
   /// model_step_event and stays valid until the event fires.
   struct ModelEvent {
     std::uint64_t seq = 0;
-    ModelEventKind kind = ModelEventKind::kOther;
+    ModelEventKind kind = ModelEventKind::kDelivery;
     net::SiteId target = 0;     // delivery destination / timer owner
     std::uint32_t index = 0;    // link id (deliveries)
-    std::uint64_t request = 0;  // timer/retry coordination id
+    std::uint64_t request = 0;  // timer coordination id
     int phase = 0;              // timer phase
     Message message{};          // deliveries only
   };
 
   /// The currently enabled transitions. Links are FIFO per direction, so
   /// only the earliest pending delivery of each directed link is enabled —
-  /// later ones cannot overtake it under any timing. Timers and retries
-  /// are always enabled ("the replies were slow"). Returned in ascending
-  /// `seq`, i.e. scheduling order.
+  /// later ones cannot overtake it under any timing. Timers are always
+  /// enabled ("the replies were slow"). Returned in ascending `seq`, i.e.
+  /// scheduling order.
   std::vector<ModelEvent> model_enabled_events() const;
   /// Fire the pending event with sequence number `seq` (must be enabled).
   /// Returns false if no such event is pending.
@@ -280,8 +276,8 @@ public:
   /// safety-history digest) into `out` — the canonical form two states
   /// compare equal under. Absolute times are excluded by design.
   void model_serialize(std::vector<std::uint64_t>& out) const;
-  /// 128-bit FNV-style hash of model_serialize (collision caveat: the
-  /// visited set stores hashes, not states — see docs/MODEL_CHECKING.md).
+  /// `model_hash` of model_serialize (collision caveat: the visited set
+  /// stores hashes, not states — see docs/MODEL_CHECKING.md).
   std::array<std::uint64_t, 2> model_fingerprint() const;
   /// Fix internal cross-references after a by-value copy: the component
   /// tracker must observe this cluster's network, not the source's. Must
@@ -372,15 +368,41 @@ private:
     int phase = 0;                // kTimer
   };
   void step(const Event& e);
+  /// Queues a background, recovery or epoch event `delay` from now.
+  void schedule(double delay, Kind kind, std::uint32_t index);
+  /// Arms the deadline of `phase` of coordination `request` at `site`.
+  void arm_timer(net::SiteId site, std::uint64_t request, int phase);
+  /// Index of the direction of `link` that delivers to `to`, into
+  /// fifo_clock_ and dir_blocked_.
+  std::size_t direction(net::LinkId link, net::SiteId to) const {
+    return 2 * static_cast<std::size_t>(link) +
+           (topo_->link(link).b == to ? 0 : 1);
+  }
   void send(net::SiteId from, net::LinkId link, const Message& m);
-  void flood(net::SiteId from, std::uint64_t flood_id, const Message& m,
-             net::LinkId except_link, bool has_except);
+  void flood(net::SiteId from, const Message& m, net::LinkId except_link,
+             bool has_except);
+  /// Floods `m` from its coordinator `site`, which thereby has visited
+  /// the flood with no parent link.
+  void start_flood(net::SiteId site, Message m);
+  /// Answers flood message `m`, which reached `here` over `link`: a reply
+  /// of `kind` carrying here's votes and (version, value) goes back over
+  /// `link`, and the flood passes on to here's other links.
+  void answer(net::SiteId here, net::LinkId link, const Message& m,
+              Message::Kind kind, std::uint64_t version, std::uint64_t value);
   void relay_toward_coordinator(net::SiteId at, const Message& m);
   void handle_delivery(const Event& e);
   void handle_timer(const Event& e);
-  /// Model mode only: drop timers/retries whose request has been decided
-  /// or whose phase was superseded — handle_timer would ignore them, so
-  /// firing one is a pure no-op transition that only multiplies states.
+  /// The coordination `request` led by `site`, if it is still in `phase`.
+  Pending* find_coordination(net::SiteId site, std::uint64_t request,
+                             int phase);
+  /// Leases `site`'s vote to write `request`; false if another write
+  /// holds it.
+  bool lease_vote(net::SiteId site, std::uint64_t request);
+  /// Frees `site`'s vote if write `request` holds its lease.
+  void release_lease(net::SiteId site, std::uint64_t request);
+  /// Model mode only: drop timers whose request has been decided or whose
+  /// phase was superseded — handle_timer would ignore them, so firing one
+  /// is a pure no-op transition that only multiplies states.
   void model_purge_dead_timers();
   void handle_access(net::SiteId origin);
   /// The RNG-free tail of handle_access: allocate a request id, record
@@ -389,18 +411,22 @@ private:
   /// actions pass `is_read` explicitly.
   void submit_access(net::SiteId origin, bool is_read);
   void start_coordination(net::SiteId origin, std::uint64_t request);
+  /// Phase 2 of write `request` once `site`'s collected votes form a write
+  /// quorum: commit locally, flood the commit and arm its deadline unless
+  /// `site`'s own votes already are a write quorum, then decide if so.
+  void begin_commit(net::SiteId site, std::uint64_t request, Pending& p);
   void retry(net::SiteId coordinator, std::uint64_t old_request);
   void decide(net::SiteId coordinator, std::uint64_t request, bool granted,
               DenyReason reason = DenyReason::kNone);
+  /// Every decided access ends here: the outcome, the decided count, the
+  /// grant/deny metric and trace, and the latency and region breakdowns.
+  void record_outcome(const AccessOutcome& out, std::uint64_t request);
   void abort_flood(net::SiteId coordinator, std::uint64_t request);
   void on_site_failed(net::SiteId s);
   /// Consult the injector's correlation rules after `failed` went down and
   /// crash the co-domain victims that fire (skipping already-down sites;
   /// the draw sequence happens regardless — see FaultInjector).
   void maybe_cascade(net::SiteId failed);
-  /// Per-domain (region-level) grant/deny/latency breakdown; no-op on
-  /// unannotated topologies or sites outside every region.
-  void record_region(net::SiteId origin, bool granted, double latency);
   void apply_fault(const fault::Action& action);
   void handle_adapt_epoch();
   /// Shared §2.2 install sequence (scripted reassigns and adaptive
@@ -413,16 +439,15 @@ private:
   bool maybe_crash_on_commit(net::SiteId coordinator, std::uint64_t request);
   void stamp(Message& m, net::SiteId author) const;
   void maybe_adopt(net::SiteId here, const Message& m);
-  double commit_deadline() const {
-    return params_.commit_timeout > 0.0 ? params_.commit_timeout
-                                        : params_.phase_timeout;
-  }
   std::uint64_t flood_key(std::uint64_t request, int phase) const {
     return request * 4 + static_cast<std::uint64_t>(phase - 1);  // phases 1..3
   }
 
   const net::Topology* topo_;
   Params params_;
+  /// Write-vote lease lifetime. It exceeds one attempt's whole window, so
+  /// a vote is never granted twice while still countable.
+  double lease_lifetime_ = 0.0;
   /// Per-link hop latency, resolved once at construction: an annotated
   /// link keeps its topology class; an unannotated one becomes
   /// {0, mean_hop_latency}, i.e. pure exponential jitter — the exact
@@ -497,5 +522,30 @@ private:
   obs::Histogram obs_adapt_predicted_gain_;
   obs::Histogram obs_adapt_realized_gain_;
 };
+
+/// The run parameters of a `.chaos` plan, for every runner of one: the
+/// plan's quorum (strict majority without a `quorum` line), its seeded
+/// mutations and a retry budget of 2. The background failure process is
+/// live (sites up 96% of the time, failures 128x slower than accesses)
+/// only when the plan ramps `reliability` or `rho` itself; otherwise it
+/// is pushed out past any horizon, so every fault in the log is scripted.
+Cluster::Params chaos_params(const fault::ChaosSpec& spec);
+
+/// FNV-1a's offset basis, and one FNV-1a step over the eight bytes of
+/// `w`, low byte first.
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) noexcept {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (w >> (8 * b)) & 0xFFull;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The model checker's 128-bit fingerprint of a canonical word stream: an
+/// FNV-1a chain and a one-multiply chain, in one pass. Cluster::
+/// model_fingerprint() is this over model_serialize; the explorer's
+/// visited set appends the scope's submit and fault masks first.
+std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words);
 
 } // namespace quora::msg

@@ -13,34 +13,18 @@
 // here is off the simulation hot path — quora_bench never sets model_mode.
 
 namespace quora::msg {
-namespace {
 
-/// FNV-1a over the canonical word stream, byte by byte.
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& words, std::uint64_t h) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
+std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words) {
+  // The second chain is structurally different from FNV-1a, so the two
+  // halves do not collide together.
+  std::uint64_t h1 = kFnvOffset;
+  std::uint64_t h2 = 0x9E3779B97F4A7C15ull;
   for (const std::uint64_t w : words) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xFFull;
-      h *= kPrime;
-    }
+    h1 = fnv1a_step(h1, w);
+    h2 = (h2 * 0x100000001B3ull) ^ (w + (h2 >> 7));
   }
-  return h;
+  return {h1, h2};
 }
-
-/// Second, structurally different mix (splitmix64 chaining) so the two
-/// fingerprint halves do not collide together.
-std::uint64_t splitmix_chain(const std::vector<std::uint64_t>& words,
-                             std::uint64_t h) {
-  for (const std::uint64_t w : words) {
-    std::uint64_t z = w + h + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    h = (h * 31) ^ (z ^ (z >> 31));
-  }
-  return h;
-}
-
-} // namespace
 
 std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   QUORA_PRECONDITION(params_.model_mode,
@@ -51,14 +35,10 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::pair<double, std::uint64_t>> head(
       dir_blocked_.size(), {kInf, ~std::uint64_t{0}});
-  const auto dir_of = [this](const Event& e) {
-    return 2 * static_cast<std::size_t>(e.index) +
-           (topo_->link(e.index).b == e.target ? 0 : 1);
-  };
   const std::span<const Event> pending = queue_.pending();
   for (const Event& e : pending) {
     if (e.kind != Kind::kDelivery) continue;
-    const std::size_t dir = dir_of(e);
+    const std::size_t dir = direction(e.index, e.target);
     if (e.time < head[dir].first ||
         (e.time == head[dir].first && e.seq < head[dir].second)) {
       head[dir] = {e.time, e.seq};
@@ -68,29 +48,13 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   std::vector<ModelEvent> out;
   out.reserve(pending.size());
   for (const Event& e : pending) {
-    ModelEvent me;
-    me.seq = e.seq;
-    me.target = e.target;
-    me.index = e.index;
-    me.request = e.request;
-    me.phase = e.phase;
-    switch (e.kind) {
-      case Kind::kDelivery:
-        if (head[dir_of(e)].second != e.seq) continue;  // behind the FIFO head
-        me.kind = ModelEventKind::kDelivery;
-        me.message = e.message;
-        break;
-      case Kind::kTimer:
-        me.kind = ModelEventKind::kTimer;
-        break;
-      case Kind::kRetry:
-        me.kind = ModelEventKind::kRetry;
-        break;
-      default:
-        // Nothing else is ever scheduled in model mode (no Poisson events,
-        // no injector timeline) — but enumerate defensively.
-        me.kind = ModelEventKind::kOther;
-        break;
+    ModelEvent me{e.seq, ModelEventKind::kTimer, e.target, e.index, e.request,
+                  e.phase, {}};
+    if (e.kind == Kind::kDelivery) {
+      // Behind the FIFO head of its direction: not enabled yet.
+      if (head[direction(e.index, e.target)].second != e.seq) continue;
+      me.kind = ModelEventKind::kDelivery;
+      me.message = e.message;
     }
     out.push_back(me);
   }
@@ -108,10 +72,13 @@ void Cluster::model_purge_dead_timers() {
   // advance — so such an event can never do anything again. Dropping it
   // here merges every "fire the dead timer now vs. later" pair of states.
   queue_.remove_if([this](const Event& e) {
-    if (e.kind != Kind::kTimer && e.kind != Kind::kRetry) return false;
-    const auto it = pending_[e.target].find(e.request);
-    if (it == pending_[e.target].end()) return true;
-    return e.kind == Kind::kTimer && it->second.phase != e.phase;
+    // No injector, no background processes and no retries: every other
+    // kind of event is unreachable here, so enumeration, purge and
+    // serialization handle these two only.
+    QUORA_PRECONDITION(e.kind == Kind::kDelivery || e.kind == Kind::kTimer,
+                       "model mode schedules only deliveries and timers");
+    return e.kind == Kind::kTimer &&
+           find_coordination(e.target, e.request, e.phase) == nullptr;
   });
 }
 
@@ -237,15 +204,13 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   // order) instead of absolute times; two states whose queues differ only
   // in timestamps — but agree on per-direction order — encode equal,
   // which is the whole point of the untimed abstraction.
-  const auto dir_of = [this](const Event& e) {
-    return 2 * static_cast<std::size_t>(e.index) +
-           (topo_->link(e.index).b == e.target ? 0 : 1);
-  };
   const auto fifo_rank = [&](const Event& e) {
     std::uint64_t rank = 0;
-    const std::size_t dir = dir_of(e);
+    const std::size_t dir = direction(e.index, e.target);
     for (const Event& o : queue_.pending()) {
-      if (o.kind != Kind::kDelivery || dir_of(o) != dir) continue;
+      if (o.kind != Kind::kDelivery || direction(o.index, o.target) != dir) {
+        continue;
+      }
       if (o.time < e.time || (o.time == e.time && o.seq < e.seq)) ++rank;
     }
     return rank;
@@ -254,36 +219,25 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   encodings.reserve(queue_.size());
   for (const Event& e : queue_.pending()) {
     std::vector<std::uint64_t> enc;
-    switch (e.kind) {
-      case Kind::kDelivery: {
-        const Message& m = e.message;
-        enc = {1,
-               dir_of(e),
-               fifo_rank(e),
-               static_cast<std::uint64_t>(m.kind),
-               m.is_write ? 1u : 0u,
-               m.request,
-               m.coordinator,
-               m.sender,
-               m.replier,
-               m.votes,
-               m.version,
-               m.value,
-               m.qr_version,
-               m.qr_r,
-               m.qr_w};
-        break;
-      }
-      case Kind::kTimer:
-        enc = {2, e.target, e.request, static_cast<std::uint64_t>(e.phase)};
-        break;
-      case Kind::kRetry:
-        enc = {3, e.target, e.request};
-        break;
-      default:
-        enc = {4, static_cast<std::uint64_t>(e.kind), e.index, e.target,
-               e.request};
-        break;
+    if (e.kind == Kind::kDelivery) {
+      const Message& m = e.message;
+      enc = {1,
+             direction(e.index, e.target),
+             fifo_rank(e),
+             static_cast<std::uint64_t>(m.kind),
+             m.is_write ? 1u : 0u,
+             m.request,
+             m.coordinator,
+             m.sender,
+             m.replier,
+             m.votes,
+             m.version,
+             m.value,
+             m.qr_version,
+             m.qr_r,
+             m.qr_w};
+    } else {
+      enc = {2, e.target, e.request, static_cast<std::uint64_t>(e.phase)};
     }
     encodings.push_back(std::move(enc));
   }
@@ -299,8 +253,7 @@ std::array<std::uint64_t, 2> Cluster::model_fingerprint() const {
   std::vector<std::uint64_t> words;
   words.reserve(256);
   model_serialize(words);
-  return {fnv1a(words, 1469598103934665603ull),
-          splitmix_chain(words, 0x9E3779B97F4A7C15ull)};
+  return model_hash(words);
 }
 
 } // namespace quora::msg

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fault/chaos_audit.hpp"
 #include "fault/event_log.hpp"
@@ -140,6 +144,61 @@ TEST(ChaosParser, SystemLinesPassThroughToLoadSystem) {
   const ChaosSpec spec = load_chaos(in);
   EXPECT_EQ(spec.system->topology.votes(2), 3u);
   EXPECT_EQ(spec.system->topology.link_count(), 3u);
+}
+
+TEST(ChaosRender, EveryActionKindRoundTripsThroughTheParser) {
+  // One action of every kind load_chaos reads, with odd doubles.
+  std::istringstream in(R"(sites 8
+ring
+at 1 site 3 down
+at 2 site 3 up
+at 3 link 5 down
+at 4 link 5 up
+at 5 partition 0-2,6 | 3-5 | 7
+at 6 heal
+at 7 heal-links
+at 8 reassign 3 6 from 2
+at 9 crash-on-commit any
+at 10 crash-on-commit 4 for 0.125
+at 11 domain rg0 down
+at 12 domain rg0/dc1 up
+at 13 oneway 1 2 down
+at 14 oneway 2 1 up
+at 15 alpha 0.2
+at 16 reliability 0.85
+at 17 rho 0.03125
+at 18.5 access 3 read
+at 19 access 0 write
+at 1e-3 rho 1e-9
+)");
+  const std::vector<Action> actions = load_chaos(in).plan.actions();
+  std::vector<bool> kinds(17, false);
+  for (const Action& a : actions) kinds[static_cast<std::size_t>(a.kind)] = true;
+  EXPECT_EQ(std::count(kinds.begin(), kinds.end(), true), 17);
+
+  for (const Action& a : actions) {
+    char time[32];
+    const auto res = std::to_chars(time, time + sizeof time, a.time);
+    const std::string line =
+        "at " + std::string(time, res.ptr) + " " + render_action(a);
+    SCOPED_TRACE(line);
+    std::istringstream reread("sites 8\nring\n" + line + "\n");
+    const std::vector<Action> back = load_chaos(reread).plan.actions();
+    ASSERT_EQ(back.size(), 1u);
+    const Action& b = back.front();
+    EXPECT_EQ(b.time, a.time);
+    EXPECT_EQ(b.kind, a.kind);
+    EXPECT_EQ(b.site, a.site);
+    EXPECT_EQ(b.site_b, a.site_b);
+    EXPECT_EQ(b.link, a.link);
+    EXPECT_EQ(b.next.q_r, a.next.q_r);
+    EXPECT_EQ(b.next.q_w, a.next.q_w);
+    EXPECT_EQ(b.duration, a.duration);
+    EXPECT_EQ(b.groups, a.groups);
+    EXPECT_EQ(b.domain, a.domain);
+    EXPECT_EQ(b.value, a.value);
+    EXPECT_EQ(b.is_read, a.is_read);
+  }
 }
 
 TEST(FaultPlanBuilder, MatchesParsedEquivalent) {
@@ -355,6 +414,14 @@ TEST(ChaosAudit, ReusesQuorumCodesForAssignments) {
         "horizon 100\nsites 5\nring\nquorum 3 3\nat 10 reassign 1 2 from 0\n");
     const io::AuditReport report = audit_chaos(in);
     EXPECT_FALSE(report.ok());
+  }
+  {
+    // Without a quorum line the runners default to a strict majority,
+    // which a single vote does not have; declared, (1, 1) is fine.
+    std::istringstream in("horizon 100\nsites 1\n");
+    EXPECT_TRUE(audit_chaos(in).has(io::AuditCode::kQuorumRange));
+    std::istringstream declared("horizon 100\nsites 1\nquorum 1 1\n");
+    EXPECT_TRUE(audit_chaos(declared).ok());
   }
 }
 

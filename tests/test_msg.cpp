@@ -36,9 +36,6 @@ TEST(Cluster, ValidatesParams) {
   p.alpha = 2.0;
   EXPECT_THROW(Cluster(topo, p, 1), std::invalid_argument);
   p = reliable_params(5, 2);
-  p.lease_timeout = -1.0;
-  EXPECT_THROW(Cluster(topo, p, 1), std::invalid_argument);
-  p = reliable_params(5, 2);
   p.phase_timeout = -0.5;
   EXPECT_THROW(Cluster(topo, p, 1), std::invalid_argument);
   p = reliable_params(5, 2);

@@ -182,14 +182,41 @@ struct RunResult {
   std::vector<RegionStats> regions;  // sorted by first appearance
 };
 
-bool plan_shifts_failure_rates(const fault::FaultPlan& plan) {
-  for (const fault::Action& a : plan.actions()) {
-    if (a.kind == fault::Action::Kind::kSetReliability ||
-        a.kind == fault::Action::Kind::kSetRho) {
-      return true;
-    }
+/// A plan that passed its static audit, with the seed and horizon it runs
+/// under (the command line's, else the plan's own).
+struct LoadedPlan {
+  fault::ChaosSpec spec;
+  std::uint64_t seed = 0;
+  double horizon = 0.0;
+};
+
+/// Audits and parses `path`. A plan that fails its own sanity checks, or
+/// has no horizon from either the file or the command line, is a usage
+/// error rather than a chaos finding: reported here, and the caller exits 2.
+std::optional<LoadedPlan> load_plan(const std::string& path,
+                                    const Options& opt) {
+  io::AuditReport audit;
+  LoadedPlan loaded;
+  try {
+    audit = fault::audit_chaos_file(path);
+    if (audit.ok()) loaded.spec = fault::load_chaos_file(path);
+  } catch (const std::exception& e) {
+    std::cerr << "quora_chaos: " << path << ": " << e.what() << '\n';
+    return std::nullopt;
   }
-  return false;
+  if (!audit.ok()) {
+    std::cerr << "quora_chaos: " << path << " fails static audit:\n";
+    io::write_report(std::cerr, audit);
+    return std::nullopt;
+  }
+  loaded.seed = opt.seed.value_or(loaded.spec.seed);
+  loaded.horizon = opt.horizon.value_or(loaded.spec.horizon);
+  if (!(loaded.horizon > 0.0)) {
+    std::cerr << "quora_chaos: " << path
+              << ": no horizon in the plan and none on the command line\n";
+    return std::nullopt;
+  }
+  return loaded;
 }
 
 RunResult run_plan(const fault::ChaosSpec& spec, std::uint64_t seed,
@@ -199,35 +226,8 @@ RunResult run_plan(const fault::ChaosSpec& spec, std::uint64_t seed,
                    const adapt::AdaptiveController::Options* adapt_opts =
                        nullptr) {
   const net::Topology& topo = spec.system->topology;
-
-  msg::Cluster::Params params;
-  if (spec.has_quorum) {
-    params.spec = spec.quorum;
-  } else {
-    const net::Vote majority =
-        static_cast<net::Vote>(topo.total_votes() / 2 + 1);
-    params.spec = quorum::QuorumSpec{majority, majority};
-  }
+  msg::Cluster::Params params = msg::chaos_params(spec);
   params.max_retries = max_retries;
-  // Seeded protocol mutations (checker-validation fixtures): the plan
-  // opts into a known-bad behaviour so the counterexample it carries
-  // reproduces the violation. audit_chaos warns on these.
-  for (const std::string& m : spec.mutations) {
-    if (m == "accept-stale-qr") params.mutations.accept_stale_qr = true;
-    if (m == "skip-crash-cleanup") params.mutations.skip_crash_cleanup = true;
-  }
-  if (plan_shifts_failure_rates(spec.plan)) {
-    // The plan ramps the background failure process itself, so that
-    // process must be live: the simulator defaults (sites up 96% of the
-    // time, failures 128x slower than accesses) are the pre-ramp regime.
-    params.config.reliability = 0.96;
-    params.config.rho = 1.0 / 128.0;
-  } else {
-    // The plan is the failure source: background Poisson failures are
-    // pushed out past the horizon so every fault in the log is scripted.
-    params.config.reliability = 0.999999;
-    params.config.rho = 1e-9;
-  }
 
   msg::Cluster cluster(topo, params, seed);
   fault::FaultInjector injector(spec.plan, seed);
@@ -360,31 +360,15 @@ int run_sweep(const Options& opt) {
   std::vector<PlanSweep> sweeps;
   bool any_unsafe = false;
   for (const std::string& path : opt.plans) {
-    io::AuditReport audit;
-    fault::ChaosSpec spec;
-    try {
-      audit = fault::audit_chaos_file(path);
-      if (audit.ok()) spec = fault::load_chaos_file(path);
-    } catch (const std::exception& e) {
-      std::cerr << "quora_chaos: " << path << ": " << e.what() << '\n';
-      return 2;
-    }
-    if (!audit.ok()) {
-      std::cerr << "quora_chaos: " << path << " fails static audit:\n";
-      io::write_report(std::cerr, audit);
-      return 2;
-    }
-    const double horizon = opt.horizon.value_or(spec.horizon);
-    if (!(horizon > 0.0)) {
-      std::cerr << "quora_chaos: " << path
-                << ": no horizon in the plan and none on the command line\n";
-      return 2;
-    }
+    const std::optional<LoadedPlan> plan = load_plan(path, opt);
+    if (!plan) return 2;
+    const fault::ChaosSpec& spec = plan->spec;
+    const double horizon = plan->horizon;
 
     PlanSweep sweep;
     sweep.name = spec.name;
     sweep.path = path;
-    sweep.first_seed = opt.seed.value_or(spec.seed);
+    sweep.first_seed = plan->seed;
     sweep.seeds = opt.sweep_seeds;
     for (std::uint32_t k = 0; k < opt.sweep_seeds; ++k) {
       const RunResult run =
@@ -521,31 +505,15 @@ int run_race(const Options& opt) {
   std::vector<PlanRace> races;
   bool any_unsafe = false;
   for (const std::string& path : opt.plans) {
-    io::AuditReport audit;
-    fault::ChaosSpec spec;
-    try {
-      audit = fault::audit_chaos_file(path);
-      if (audit.ok()) spec = fault::load_chaos_file(path);
-    } catch (const std::exception& e) {
-      std::cerr << "quora_chaos: " << path << ": " << e.what() << '\n';
-      return 2;
-    }
-    if (!audit.ok()) {
-      std::cerr << "quora_chaos: " << path << " fails static audit:\n";
-      io::write_report(std::cerr, audit);
-      return 2;
-    }
-    const double horizon = opt.horizon.value_or(spec.horizon);
-    if (!(horizon > 0.0)) {
-      std::cerr << "quora_chaos: " << path
-                << ": no horizon in the plan and none on the command line\n";
-      return 2;
-    }
+    const std::optional<LoadedPlan> plan = load_plan(path, opt);
+    if (!plan) return 2;
+    const fault::ChaosSpec& spec = plan->spec;
+    const double horizon = plan->horizon;
 
     PlanRace race;
     race.name = spec.name;
     race.path = path;
-    race.first_seed = opt.seed.value_or(spec.seed);
+    race.first_seed = plan->seed;
     race.seeds = opt.sweep_seeds;
     race.horizon = horizon;
     for (std::uint32_t k = 0; k < opt.sweep_seeds; ++k) {
@@ -706,30 +674,11 @@ int main(int argc, char** argv) {
 
   bool any_unsafe = false;
   for (const std::string& path : opt.plans) {
-    // Static audit first: a plan that fails its own sanity checks is a
-    // usage error, not a chaos finding.
-    io::AuditReport audit;
-    fault::ChaosSpec spec;
-    try {
-      audit = fault::audit_chaos_file(path);
-      if (audit.ok()) spec = fault::load_chaos_file(path);
-    } catch (const std::exception& e) {
-      std::cerr << "quora_chaos: " << path << ": " << e.what() << '\n';
-      return 2;
-    }
-    if (!audit.ok()) {
-      std::cerr << "quora_chaos: " << path << " fails static audit:\n";
-      io::write_report(std::cerr, audit);
-      return 2;
-    }
-
-    const std::uint64_t seed = opt.seed.value_or(spec.seed);
-    const double horizon = opt.horizon.value_or(spec.horizon);
-    if (!(horizon > 0.0)) {
-      std::cerr << "quora_chaos: " << path
-                << ": no horizon in the plan and none on the command line\n";
-      return 2;
-    }
+    const std::optional<LoadedPlan> plan = load_plan(path, opt);
+    if (!plan) return 2;
+    const fault::ChaosSpec& spec = plan->spec;
+    const std::uint64_t seed = plan->seed;
+    const double horizon = plan->horizon;
 
     RunResult run =
         run_plan(spec, seed, horizon, opt.max_retries,
