@@ -9,19 +9,9 @@ namespace quora::conn::bits {
 
 /// Packed-bitset word primitives for the liveness/connectivity data path.
 ///
-/// All state that used to live in one-byte-per-element flag arrays is also
-/// maintained as packed 64-bit words (bit i of word i/64 = element i), so a
-/// single AND batches 64 neighbor-liveness tests and a popcount tallies 64
-/// memberships. The kernels below are the only place SIMD enters the
-/// codebase; everything they compute is pure bitwise arithmetic, so the
-/// AVX2 and scalar variants are bit-identical by construction — runtime
-/// dispatch can never change a label, a vote total, or a golden transcript.
-///
-/// Dispatch: resolved once, on first use. The AVX2 path is taken when the
-/// CPU reports AVX2 and the environment does not override it; setting
-/// QUORA_SIMD=scalar forces the scalar path (the determinism suite runs
-/// under both). QUORA_SIMD=avx2 on a CPU without AVX2 silently falls back
-/// to scalar rather than faulting.
+/// Site liveness and the dense adjacency rows are stored as packed 64-bit
+/// words (bit i of word i/64 = element i), so a single AND batches 64
+/// neighbor-liveness tests and a popcount tallies 64 memberships.
 
 using Word = std::uint64_t;
 inline constexpr std::uint32_t kWordBits = 64;
@@ -34,33 +24,9 @@ constexpr std::size_t word_count(std::size_t n) noexcept {
 /// dst[i] |= a[i] & b[i] for i in [0, n). This is the word-parallel BFS
 /// frontier step: `a` is an adjacency-row bitset, `b` the not-yet-assigned
 /// liveness words, `dst` the next frontier.
-QUORA_HOT_PATH void or_and(Word* dst, const Word* a, const Word* b,
-                           std::size_t n) noexcept;
-
-/// Sum of popcount(a[i] & b[i]) for i in [0, n) — membership/vote tallies
-/// over masked liveness words.
-QUORA_HOT_PATH std::uint64_t popcount_and(const Word* a, const Word* b,
-                                          std::size_t n) noexcept;
-
-/// Name of the kernel the dispatcher selected: "avx2" or "scalar".
-const char* active_kernel() noexcept;
-
-namespace detail {
-// Both variants exposed so tests can prove bit-identical outputs directly,
-// independent of what the dispatcher picked on this machine.
-void or_and_scalar(Word* dst, const Word* a, const Word* b,
-                   std::size_t n) noexcept;
-std::uint64_t popcount_and_scalar(const Word* a, const Word* b,
-                                  std::size_t n) noexcept;
-#if defined(__x86_64__) || defined(__i386__)
-void or_and_avx2(Word* dst, const Word* a, const Word* b,
-                 std::size_t n) noexcept;
-std::uint64_t popcount_and_avx2(const Word* a, const Word* b,
-                                std::size_t n) noexcept;
-#endif
-/// True when the dispatcher would select the AVX2 variants (CPU support
-/// present and not overridden by QUORA_SIMD=scalar).
-bool avx2_selected() noexcept;
-}  // namespace detail
+QUORA_HOT_PATH inline void or_and(Word* dst, const Word* a, const Word* b,
+                                  std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) dst[i] |= a[i] & b[i];
+}
 
 }  // namespace quora::conn::bits

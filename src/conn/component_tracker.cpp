@@ -93,15 +93,10 @@ void ComponentTracker::apply_link_up(net::LinkId l) const {
 }
 
 void ComponentTracker::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    obs_full_rebuilds_ = obs::Counter{};
-    obs_incremental_applies_ = obs::Counter{};
-    obs_compactions_ = obs::Counter{};
-    return;
-  }
-  obs_full_rebuilds_ = registry->counter("tracker.full_rebuilds");
-  obs_incremental_applies_ = registry->counter("tracker.incremental_applies");
-  obs_compactions_ = registry->counter("tracker.compactions");
+  obs_full_rebuilds_ = obs::counter(registry, "tracker.full_rebuilds");
+  obs_incremental_applies_ =
+      obs::counter(registry, "tracker.incremental_applies");
+  obs_compactions_ = obs::counter(registry, "tracker.compactions");
 }
 
 void ComponentTracker::sync_slow() const {

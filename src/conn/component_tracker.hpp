@@ -42,9 +42,6 @@ inline constexpr std::int32_t kNoComponent = -1;
 ///    pass over packed 64-bit words — 64 neighbor-liveness tests per AND —
 ///    and component sizes are tallied by popcount over the harvested
 ///    words (votes collapse to popcount * v under a uniform assignment).
-///    The word kernels are runtime-dispatched (AVX2 when available,
-///    overridable via QUORA_SIMD=scalar) and bit-identical across
-///    variants, so labels never depend on the dispatch decision.
 ///  - **sparse** (larger topologies): the original O(V+E) BFS over the
 ///    topology's CSR adjacency.
 ///

@@ -12,9 +12,7 @@ LiveNetwork::LiveNetwork(const net::Topology& topo,
       site_up_(topo.site_count(), 1),
       link_up_(topo.link_count(), 1),
       site_words_(bits::word_count(topo.site_count()), 0),
-      link_words_(bits::word_count(topo.link_count()), 0),
-      up_sites_(topo.site_count()),
-      up_links_(topo.link_count()) {
+      up_sites_(topo.site_count()) {
   if (journal_capacity < 2 || !std::has_single_bit(journal_capacity))
     throw std::invalid_argument(
         "LiveNetwork: journal capacity must be a power of two >= 2");
@@ -25,8 +23,6 @@ LiveNetwork::LiveNetwork(const net::Topology& topo,
   // consumers popcount whole words and must never see ghost elements.
   for (std::uint32_t s = 0; s < topo.site_count(); ++s)
     set_word_bit(site_words_, s, true);
-  for (std::uint32_t l = 0; l < topo.link_count(); ++l)
-    set_word_bit(link_words_, l, true);
 
   if (topo.site_count() > 0 && topo.site_count() <= kDenseAdjacencyMaxSites) {
     row_words_ = bits::word_count(topo.site_count());
@@ -66,7 +62,6 @@ bool LiveNetwork::set_link_up(net::LinkId l, bool up) {
   std::uint8_t& flag = link_up_.at(l);
   if ((flag != 0) == up) return false;
   flag = up ? 1 : 0;
-  set_word_bit(link_words_, l, up);
   if (row_words_ != 0) {
     // A link flip touches exactly two row bits; the rows stay an exact
     // mirror of "link exists AND link up" with no rebuild.
@@ -83,7 +78,6 @@ bool LiveNetwork::set_link_up(net::LinkId l, bool up) {
       row_ba &= ~ma;
     }
   }
-  up_links_ += up ? 1u : -1u;
   journal(up ? DeltaKind::kLinkUp : DeltaKind::kLinkDown, l);
   return true;
 }
@@ -106,16 +100,12 @@ void LiveNetwork::reset_all_up() {
     // Re-derive the packed state wholesale; cheaper than itemizing and the
     // bulk path is off the per-event hot path anyway.
     std::fill(site_words_.begin(), site_words_.end(), bits::Word{0});
-    std::fill(link_words_.begin(), link_words_.end(), bits::Word{0});
     for (std::uint32_t s = 0; s < topo_->site_count(); ++s)
       set_word_bit(site_words_, s, true);
-    for (std::uint32_t l = 0; l < topo_->link_count(); ++l)
-      set_word_bit(link_words_, l, true);
     if (row_words_ != 0)
       std::copy(topo_rows_.begin(), topo_rows_.end(), adj_rows_.begin());
   }
   up_sites_ = topo_->site_count();
-  up_links_ = topo_->link_count();
   // One version bump for the whole compound change, exactly as before the
   // journal existed; kBulk tells replayers to re-derive rather than merge.
   if (changed) journal(DeltaKind::kBulk, 0);

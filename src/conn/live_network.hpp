@@ -19,12 +19,13 @@ namespace quora::conn {
 /// actually changes state bumps `version()`, which downstream caches
 /// (`ComponentTracker`) key on.
 ///
-/// Up/down state is stored structure-of-arrays as packed 64-bit bitset
-/// words (`site_up_words`/`link_up_words`) so consumers can test 64
-/// elements per AND and tally memberships by popcount. The original
-/// one-byte-per-element flag arrays are maintained in lockstep and remain
-/// available through `site_up_flags`/`link_up_flags` — a migration shim
-/// for consumers that still index per element.
+/// Site up/down state is stored as packed 64-bit bitset words
+/// (`site_up_words`) so consumers can test 64 sites per AND and find the
+/// first up site by bit scan. Link state lives in the masked adjacency
+/// rows below. One-byte-per-element flag arrays for sites and links are
+/// maintained in lockstep and remain available through
+/// `site_up_flags`/`link_up_flags` — a shim for consumers that index per
+/// element.
 ///
 /// For topologies up to `kDenseAdjacencyMaxSites` sites the network also
 /// maintains *masked adjacency rows*: row `a` is a site-indexed bitset
@@ -84,13 +85,10 @@ public:
   std::span<const std::uint8_t> site_up_flags() const noexcept { return site_up_; }
   std::span<const std::uint8_t> link_up_flags() const noexcept { return link_up_; }
 
-  /// Packed liveness bitsets (bit i of word i/64 = element i up). Bits at
-  /// and above site_count()/link_count() are always zero.
+  /// Packed site liveness bitset (bit i of word i/64 = site i up). Bits
+  /// at and above site_count() are always zero.
   std::span<const bits::Word> site_up_words() const noexcept {
     return site_words_;
-  }
-  std::span<const bits::Word> link_up_words() const noexcept {
-    return link_words_;
   }
 
   /// True when the dense masked adjacency rows are maintained (site count
@@ -125,7 +123,6 @@ public:
   /// Lowest-numbered operational site, or nullopt when every site is
   /// down: the deterministic install origin of the adaptive loop.
   std::optional<net::SiteId> first_up_site() const noexcept;
-  std::uint32_t up_link_count() const noexcept { return up_links_; }
 
   /// Monotone counter, bumped by every effective state change.
   std::uint64_t version() const noexcept { return version_; }
@@ -158,12 +155,10 @@ private:
   std::vector<std::uint8_t> site_up_;  // byte shim, kept in lockstep
   std::vector<std::uint8_t> link_up_;
   std::vector<bits::Word> site_words_;
-  std::vector<bits::Word> link_words_;
   std::size_t row_words_ = 0;          // 0 = dense rows disabled
   std::vector<bits::Word> adj_rows_;   // masked by link liveness
   std::vector<bits::Word> topo_rows_;  // static topology rows, for resets
   std::uint32_t up_sites_ = 0;
-  std::uint32_t up_links_ = 0;
   std::uint64_t version_ = 0;
   std::uint64_t journal_mask_;
   std::vector<Delta> journal_;

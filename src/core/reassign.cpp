@@ -16,13 +16,8 @@ namespace {
 } // namespace
 
 void QuorumReassignment::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    obs_installs_ = obs::Counter{};
-    obs_adopts_ = obs::Counter{};
-    return;
-  }
-  obs_installs_ = registry->counter("qr.installs");
-  obs_adopts_ = registry->counter("qr.adopts");
+  obs_installs_ = obs::counter(registry, "qr.installs");
+  obs_adopts_ = obs::counter(registry, "qr.adopts");
 }
 
 QuorumReassignment::QuorumReassignment(const net::Topology& topo,

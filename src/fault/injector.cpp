@@ -135,15 +135,9 @@ bool FaultInjector::rule_matches_link(std::size_t rule_index,
 }
 
 void FaultInjector::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    obs_drops_ = obs::Counter{};
-    obs_duplicates_ = obs::Counter{};
-    obs_delays_ = obs::Counter{};
-    return;
-  }
-  obs_drops_ = registry->counter("fault.msg_drops");
-  obs_duplicates_ = registry->counter("fault.msg_duplicates");
-  obs_delays_ = registry->counter("fault.msg_delays");
+  obs_drops_ = obs::counter(registry, "fault.msg_drops");
+  obs_duplicates_ = obs::counter(registry, "fault.msg_duplicates");
+  obs_delays_ = obs::counter(registry, "fault.msg_delays");
 }
 
 MessageFault FaultInjector::on_send(net::LinkId link, double now,

@@ -427,20 +427,6 @@ const char* severity_name(AuditSeverity severity) {
   return severity == AuditSeverity::kError ? "error" : "warning";
 }
 
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
 } // namespace
 
 const char* audit_code_name(AuditCode code) {
@@ -491,6 +477,27 @@ AuditReport audit_config_file(const std::string& path) {
   return audit_config(in);
 }
 
+void write_json_string(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\t': out << "\\t"; break;
+      case '\r': out << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          const char* hex = "0123456789abcdef";
+          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
+
 void write_report(std::ostream& out, const AuditReport& report) {
   for (const AuditFinding& f : report.findings) {
     out << severity_name(f.severity) << '\t' << audit_code_name(f.code) << '\t'
@@ -506,7 +513,7 @@ void write_finding_json(std::ostream& out, const AuditFinding& finding,
   write_json_string(out, severity_name(finding.severity));
   if (!path.empty()) {
     out << ", \"path\": ";
-    write_json_string(out, std::string(path));
+    write_json_string(out, path);
   }
   out << ", \"message\": ";
   write_json_string(out, finding.message);
@@ -536,10 +543,10 @@ void write_sarif(std::ostream& out, std::string_view tool_name,
          "      \"tool\": {\n"
          "        \"driver\": {\n"
          "          \"name\": ";
-  write_json_string(out, std::string(tool_name));
+  write_json_string(out, tool_name);
   if (!tool_version.empty()) {
     out << ",\n          \"version\": ";
-    write_json_string(out, std::string(tool_version));
+    write_json_string(out, tool_version);
   }
   out << ",\n          \"rules\": [";
   for (std::size_t i = 0; i < rules.size(); ++i) {

@@ -97,6 +97,12 @@ struct AuditReport {
 AuditReport audit_config(std::istream& in);
 AuditReport audit_config_file(const std::string& path);
 
+/// Writes `s` as a quoted JSON string: `"` and `\` are backslash-escaped,
+/// newline, tab and carriage return use their short escapes, and every
+/// other byte below 0x20 is written as `\u00XX`. The one JSON string
+/// writer behind quora_check, quora_chaos and quora_lint.
+void write_json_string(std::ostream& out, std::string_view s);
+
 /// Writes the report, one finding per line:
 /// `error\tquorum-intersection\tmessage...` — stable, grep- and
 /// machine-friendly (this is what quora-check emits and CI parses).

@@ -170,60 +170,44 @@ void Cluster::set_trace(obs::TraceRecorder* trace) {
 
 void Cluster::set_metrics(obs::Registry* registry) {
   registry_ = registry;
+  obs_accesses_ = obs::counter(registry, "cluster.accesses");
+  obs_grants_ = obs::counter(registry, "cluster.grants");
+  obs_retries_ = obs::counter(registry, "cluster.retries");
+  // One deny counter per reason code; index 0 (kNone) stays detached.
+  for (std::size_t r = 1; r < kDenyReasonCount; ++r) {
+    obs_denies_[r] = obs::counter(
+        registry, std::string("cluster.denies.") +
+                      deny_reason_name(static_cast<DenyReason>(r)));
+  }
+  const std::vector<double> latency_buckets(kLatencyBucketsSeconds.begin(),
+                                            kLatencyBucketsSeconds.end());
+  obs_access_latency_ = obs::histogram(
+      registry, "cluster.access_latency_seconds", latency_buckets);
+  obs_phase1_latency_ =
+      obs::histogram(registry, "cluster.phase1_seconds", latency_buckets);
+  obs_commit_latency_ =
+      obs::histogram(registry, "cluster.commit_seconds", latency_buckets);
+  obs_adapt_epochs_ = obs::counter(registry, "adapt.epochs");
+  obs_adapt_installs_ = obs::counter(registry, "adapt.installs");
+  obs_adapt_refused_ = obs::counter(registry, "adapt.installs_refused");
+  // Gains can be negative (a mispredicted install); bucket both tails.
+  const std::vector<double> gain_buckets{-0.5, -0.2, -0.1, -0.05, -0.02,
+                                         0.0,  0.02, 0.05, 0.1,   0.2, 0.5};
+  obs_adapt_predicted_gain_ =
+      obs::histogram(registry, "adapt.predicted_gain", gain_buckets);
+  obs_adapt_realized_gain_ =
+      obs::histogram(registry, "adapt.realized_gain", gain_buckets);
+  // Per-domain breakdown: one grant/deny counter pair and one latency
+  // histogram per region (level-1 domain) of an annotated topology.
   obs_region_grants_.assign(region_names_.size(), obs::Counter{});
   obs_region_denies_.assign(region_names_.size(), obs::Counter{});
   obs_region_latency_.assign(region_names_.size(), obs::Histogram{});
-  if (registry == nullptr) {
-    obs_accesses_ = obs::Counter{};
-    obs_grants_ = obs::Counter{};
-    obs_retries_ = obs::Counter{};
-    obs_denies_.fill(obs::Counter{});
-    obs_access_latency_ = obs::Histogram{};
-    obs_phase1_latency_ = obs::Histogram{};
-    obs_commit_latency_ = obs::Histogram{};
-    obs_adapt_epochs_ = obs::Counter{};
-    obs_adapt_installs_ = obs::Counter{};
-    obs_adapt_refused_ = obs::Counter{};
-    obs_adapt_predicted_gain_ = obs::Histogram{};
-    obs_adapt_realized_gain_ = obs::Histogram{};
-  } else {
-    obs_accesses_ = registry->counter("cluster.accesses");
-    obs_grants_ = registry->counter("cluster.grants");
-    obs_retries_ = registry->counter("cluster.retries");
-    // One deny counter per reason code; index 0 (kNone) stays detached.
-    for (std::size_t r = 1; r < kDenyReasonCount; ++r) {
-      obs_denies_[r] = registry->counter(
-          std::string("cluster.denies.") +
-          deny_reason_name(static_cast<DenyReason>(r)));
-    }
-    const std::vector<double> latency_buckets{0.001, 0.002, 0.005, 0.01,
-                                              0.02,  0.05,  0.1,   0.2,
-                                              0.5,   1.0,   2.0,   5.0};
-    obs_access_latency_ =
-        registry->histogram("cluster.access_latency_seconds", latency_buckets);
-    obs_phase1_latency_ =
-        registry->histogram("cluster.phase1_seconds", latency_buckets);
-    obs_commit_latency_ =
-        registry->histogram("cluster.commit_seconds", latency_buckets);
-    obs_adapt_epochs_ = registry->counter("adapt.epochs");
-    obs_adapt_installs_ = registry->counter("adapt.installs");
-    obs_adapt_refused_ = registry->counter("adapt.installs_refused");
-    // Gains can be negative (a mispredicted install); bucket both tails.
-    const std::vector<double> gain_buckets{-0.5, -0.2, -0.1, -0.05, -0.02,
-                                           0.0,  0.02, 0.05, 0.1,   0.2, 0.5};
-    obs_adapt_predicted_gain_ =
-        registry->histogram("adapt.predicted_gain", gain_buckets);
-    obs_adapt_realized_gain_ =
-        registry->histogram("adapt.realized_gain", gain_buckets);
-    // Per-domain breakdown: one grant/deny counter pair and one latency
-    // histogram per region (level-1 domain) of an annotated topology.
-    for (std::size_t r = 0; r < region_names_.size(); ++r) {
-      const std::string prefix = "cluster.domain." + region_names_[r];
-      obs_region_grants_[r] = registry->counter(prefix + ".grants");
-      obs_region_denies_[r] = registry->counter(prefix + ".denies");
-      obs_region_latency_[r] = registry->histogram(
-          prefix + ".access_latency_seconds", latency_buckets);
-    }
+  for (std::size_t r = 0; r < region_names_.size(); ++r) {
+    const std::string prefix = "cluster.domain." + region_names_[r];
+    obs_region_grants_[r] = obs::counter(registry, prefix + ".grants");
+    obs_region_denies_[r] = obs::counter(registry, prefix + ".denies");
+    obs_region_latency_[r] = obs::histogram(
+        registry, prefix + ".access_latency_seconds", latency_buckets);
   }
   qr_.set_metrics(registry);
   tracker_.set_metrics(registry);

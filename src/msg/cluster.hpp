@@ -43,6 +43,12 @@ inline constexpr std::size_t kDenyReasonCount = 7;
 /// Stable kebab-case slug for reports and event logs.
 const char* deny_reason_name(DenyReason reason);
 
+/// Bucket plan (inclusive upper bounds, seconds) of the cluster's access,
+/// phase-1 and commit latency histograms. `quora_trace` summarizes
+/// transcripts on the same plan.
+inline constexpr std::array<double, 12> kLatencyBucketsSeconds{
+    0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0};
+
 /// One access as the coordinator finally resolved it.
 struct AccessOutcome {
   double submit_time = 0.0;
@@ -404,6 +410,10 @@ private:
   /// phase was superseded — handle_timer would ignore them, so firing one
   /// is a pure no-op transition that only multiplies states.
   void model_purge_dead_timers();
+  /// Model mode only: each event's FIFO rank, in `queue_.pending()`
+  /// order: the pending deliveries on its direction that precede it by
+  /// (time, seq). Only a rank-0 delivery is enabled; timers get 0.
+  std::vector<std::uint64_t> model_fifo_ranks() const;
   void handle_access(net::SiteId origin);
   /// The RNG-free tail of handle_access: allocate a request id, record
   /// the oracle verdict, and start coordinating. The Poisson driver draws

@@ -1,7 +1,7 @@
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -26,33 +26,42 @@ std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words) {
   return {h1, h2};
 }
 
+std::vector<std::uint64_t> Cluster::model_fifo_ranks() const {
+  // One sort of the deliveries by (direction, time, seq); ranks count up
+  // within each direction's run. seq is unique, so the index never ties.
+  const std::span<const Event> pending = queue_.pending();
+  std::vector<std::tuple<std::size_t, double, std::uint64_t, std::size_t>> order;
+  order.reserve(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const Event& e = pending[i];
+    if (e.kind == Kind::kDelivery)
+      order.emplace_back(direction(e.index, e.target), e.time, e.seq, i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::uint64_t> rank(pending.size(), 0);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    if (std::get<0>(order[k]) == std::get<0>(order[k - 1]))
+      rank[std::get<3>(order[k])] = rank[std::get<3>(order[k - 1])] + 1;
+  }
+  return rank;
+}
+
 std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   QUORA_PRECONDITION(params_.model_mode,
                      "model_enabled_events needs Params::model_mode");
-  // Per directed link, find the earliest pending delivery by (time, seq):
-  // links are FIFO per direction, so only that head is enabled — a later
-  // delivery on the same direction cannot overtake it under any timing.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<double, std::uint64_t>> head(
-      dir_blocked_.size(), {kInf, ~std::uint64_t{0}});
+  // Links are FIFO per direction, so only the head of each direction is
+  // enabled — a later delivery on the same direction cannot overtake it
+  // under any timing.
   const std::span<const Event> pending = queue_.pending();
-  for (const Event& e : pending) {
-    if (e.kind != Kind::kDelivery) continue;
-    const std::size_t dir = direction(e.index, e.target);
-    if (e.time < head[dir].first ||
-        (e.time == head[dir].first && e.seq < head[dir].second)) {
-      head[dir] = {e.time, e.seq};
-    }
-  }
-
+  const std::vector<std::uint64_t> rank = model_fifo_ranks();
   std::vector<ModelEvent> out;
   out.reserve(pending.size());
-  for (const Event& e : pending) {
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const Event& e = pending[i];
     ModelEvent me{e.seq, ModelEventKind::kTimer, e.target, e.index, e.request,
                   e.phase, {}};
     if (e.kind == Kind::kDelivery) {
-      // Behind the FIFO head of its direction: not enabled yet.
-      if (head[direction(e.index, e.target)].second != e.seq) continue;
+      if (rank[i] != 0) continue;  // behind its direction's FIFO head
       me.kind = ModelEventKind::kDelivery;
       me.message = e.message;
     }
@@ -204,26 +213,18 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   // order) instead of absolute times; two states whose queues differ only
   // in timestamps — but agree on per-direction order — encode equal,
   // which is the whole point of the untimed abstraction.
-  const auto fifo_rank = [&](const Event& e) {
-    std::uint64_t rank = 0;
-    const std::size_t dir = direction(e.index, e.target);
-    for (const Event& o : queue_.pending()) {
-      if (o.kind != Kind::kDelivery || direction(o.index, o.target) != dir) {
-        continue;
-      }
-      if (o.time < e.time || (o.time == e.time && o.seq < e.seq)) ++rank;
-    }
-    return rank;
-  };
+  const std::span<const Event> pending = queue_.pending();
+  const std::vector<std::uint64_t> rank = model_fifo_ranks();
   std::vector<std::vector<std::uint64_t>> encodings;
   encodings.reserve(queue_.size());
-  for (const Event& e : queue_.pending()) {
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const Event& e = pending[i];
     std::vector<std::uint64_t> enc;
     if (e.kind == Kind::kDelivery) {
       const Message& m = e.message;
       enc = {1,
              direction(e.index, e.target),
-             fifo_rank(e),
+             rank[i],
              static_cast<std::uint64_t>(m.kind),
              m.is_write ? 1u : 0u,
              m.request,

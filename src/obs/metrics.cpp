@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace quora::obs {
 namespace {
@@ -207,6 +208,16 @@ void Registry::write_text(std::ostream& out) {
       out << ' ' << h.counts[i] << '\n';
     }
   }
+}
+
+Counter counter(Registry* registry, std::string_view name) {
+  return registry == nullptr ? Counter{} : registry->counter(name);
+}
+
+Histogram histogram(Registry* registry, std::string_view name,
+                    std::vector<double> bounds) {
+  return registry == nullptr ? Histogram{}
+                             : registry->histogram(name, std::move(bounds));
 }
 
 void write_metrics_file(Registry& registry, const std::string& path) {

@@ -146,6 +146,14 @@ private:
   std::vector<std::unique_ptr<std::atomic<std::int64_t>>> gauges_;
 };
 
+/// Null-tolerant registration: `registry->counter(name)` /
+/// `registry->histogram(name, bounds)`, or a detached handle when
+/// `registry` is null. Every `set_metrics(Registry*)` attaches and
+/// detaches through these, so it has one code path for both.
+Counter counter(Registry* registry, std::string_view name);
+Histogram histogram(Registry* registry, std::string_view name,
+                    std::vector<double> bounds);
+
 /// Writes `registry.write_text` to `path`; throws std::runtime_error on
 /// I/O failure.
 void write_metrics_file(Registry& registry, const std::string& path);

@@ -70,19 +70,11 @@ void Simulator::set_trace(obs::TraceRecorder* trace) {
 }
 
 void Simulator::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    obs_accesses_ = obs::Counter{};
-    obs_site_failures_ = obs::Counter{};
-    obs_site_recoveries_ = obs::Counter{};
-    obs_link_failures_ = obs::Counter{};
-    obs_link_recoveries_ = obs::Counter{};
-  } else {
-    obs_accesses_ = registry->counter("sim.accesses");
-    obs_site_failures_ = registry->counter("sim.site_failures");
-    obs_site_recoveries_ = registry->counter("sim.site_recoveries");
-    obs_link_failures_ = registry->counter("sim.link_failures");
-    obs_link_recoveries_ = registry->counter("sim.link_recoveries");
-  }
+  obs_accesses_ = obs::counter(registry, "sim.accesses");
+  obs_site_failures_ = obs::counter(registry, "sim.site_failures");
+  obs_site_recoveries_ = obs::counter(registry, "sim.site_recoveries");
+  obs_link_failures_ = obs::counter(registry, "sim.link_failures");
+  obs_link_recoveries_ = obs::counter(registry, "sim.link_recoveries");
   tracker_.set_metrics(registry);
 }
 

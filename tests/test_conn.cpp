@@ -23,7 +23,6 @@ TEST(LiveNetwork, StartsAllUp) {
   const net::Topology topo = net::make_ring(5);
   const LiveNetwork live(topo);
   EXPECT_EQ(live.up_site_count(), 5u);
-  EXPECT_EQ(live.up_link_count(), 5u);
   for (net::SiteId s = 0; s < 5; ++s) EXPECT_TRUE(live.is_site_up(s));
   for (net::LinkId l = 0; l < 5; ++l) EXPECT_TRUE(live.is_link_up(l));
 }
@@ -84,10 +83,8 @@ TEST(LiveNetwork, CountsTrackState) {
   live.set_site_up(3, false);
   live.set_link_up(0, false);
   EXPECT_EQ(live.up_site_count(), 3u);
-  EXPECT_EQ(live.up_link_count(), 4u);
   live.reset_all_up();
   EXPECT_EQ(live.up_site_count(), 5u);
-  EXPECT_EQ(live.up_link_count(), 5u);
 }
 
 TEST(LiveNetwork, LinkOperationalNeedsEndpoints) {
@@ -340,28 +337,17 @@ TEST(LiveNetwork, WordFlagsMirrorByteFlags) {
 
   const auto check_mirror = [&] {
     const auto site_words = live.site_up_words();
-    const auto link_words = live.link_up_words();
     ASSERT_EQ(site_words.size(), bits::word_count(topo.site_count()));
-    ASSERT_EQ(link_words.size(), bits::word_count(topo.link_count()));
     for (net::SiteId s = 0; s < topo.site_count(); ++s) {
       const bool bit =
           (site_words[s / 64] >> (s % 64) & 1) != 0;
       EXPECT_EQ(bit, live.is_site_up(s)) << "site " << s;
     }
-    for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-      const bool bit =
-          (link_words[l / 64] >> (l % 64) & 1) != 0;
-      EXPECT_EQ(bit, live.is_link_up(l)) << "link " << l;
-    }
-    // Tail bits above the element count must stay zero: consumers
+    // Tail bits above the site count must stay zero: consumers
     // popcount whole words and must never see ghost elements.
     const std::uint32_t site_tail = topo.site_count() % 64;
     if (site_tail != 0) {
       EXPECT_EQ(site_words.back() >> site_tail, 0u);
-    }
-    const std::uint32_t link_tail = topo.link_count() % 64;
-    if (link_tail != 0) {
-      EXPECT_EQ(link_words.back() >> link_tail, 0u);
     }
   };
 
@@ -485,45 +471,6 @@ TEST(ComponentTracker, MemberWordsMatchMembers) {
   }
 }
 
-TEST(Bitwords, KernelVariantsBitIdentical) {
-  // The runtime-dispatch determinism contract: scalar and AVX2 variants
-  // must agree bit for bit on every input, including non-multiple-of-4
-  // word counts (the SIMD tail path).
-  rng::Xoshiro256ss gen(99);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                              std::size_t{7}, std::size_t{64},
-                              std::size_t{129}}) {
-    std::vector<bits::Word> a(n), b(n), dst_scalar(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = gen();
-      b[i] = gen();
-      dst_scalar[i] = gen();
-    }
-    std::vector<bits::Word> dst_dispatch = dst_scalar;
-    bits::detail::or_and_scalar(dst_scalar.data(), a.data(), b.data(), n);
-    bits::or_and(dst_dispatch.data(), a.data(), b.data(), n);
-    EXPECT_EQ(dst_scalar, dst_dispatch) << "n=" << n;
-    EXPECT_EQ(bits::detail::popcount_and_scalar(a.data(), b.data(), n),
-              bits::popcount_and(a.data(), b.data(), n))
-        << "n=" << n;
-#if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2")) {
-      // Direct variant-vs-variant check, independent of the dispatcher
-      // (which may have been forced scalar via QUORA_SIMD).
-      std::vector<bits::Word> dst_avx2 = dst_scalar;
-      for (std::size_t i = 0; i < n; ++i) dst_avx2[i] = a[i] ^ b[i];
-      std::vector<bits::Word> dst_ref = dst_avx2;
-      bits::detail::or_and_scalar(dst_ref.data(), a.data(), b.data(), n);
-      bits::detail::or_and_avx2(dst_avx2.data(), a.data(), b.data(), n);
-      EXPECT_EQ(dst_ref, dst_avx2) << "n=" << n;
-      EXPECT_EQ(bits::detail::popcount_and_scalar(a.data(), b.data(), n),
-                bits::detail::popcount_and_avx2(a.data(), b.data(), n))
-          << "n=" << n;
-    }
-#endif
-  }
-}
-
 /// CSR-based reference labeling (cheap enough for >4096-site graphs,
 /// where reference_labels' all-links scan is quadratic).
 std::vector<int> csr_reference_labels(const LiveNetwork& live) {
@@ -586,38 +533,42 @@ TEST(ComponentTracker, SparseRandomizedAgreesWithReference) {
 }
 
 TEST(ComponentTracker, DenseRandomizedAgreesWithReference) {
-  // 80 sites (rows span two words) with m >> n^2/64, so this drives the
-  // word-parallel rebuild_dense path under churn.
-  const net::Topology topo = net::make_erdos_renyi(80, 0.3, 11);
-  ASSERT_GE(64ull * topo.link_count(),
-            static_cast<std::uint64_t>(topo.site_count()) * topo.site_count());
-  LiveNetwork live(topo);
-  const ComponentTracker tracker(live);
-  rng::Xoshiro256ss gen(555);
+  // Both inputs have m >> n^2/64, so this drives the word-parallel
+  // rebuild_dense path under churn: 80 sites (rows span two words) and
+  // 300 sites (five words, so or_and runs four or more words per row).
+  for (const net::Topology& topo : {net::make_erdos_renyi(80, 0.3, 11),
+                                    net::make_erdos_renyi(300, 0.3, 11)}) {
+    const std::uint64_t n = topo.site_count();
+    ASSERT_GE(64ull * topo.link_count(), n * n);
+    LiveNetwork live(topo);
+    ASSERT_TRUE(live.has_dense_adjacency());
+    const ComponentTracker tracker(live);
+    rng::Xoshiro256ss gen(555);
 
-  for (int step = 0; step < 300; ++step) {
-    for (int burst = 0; burst < 3; ++burst) {
-      if (rng::bernoulli(gen, 0.4)) {
-        const auto s = static_cast<net::SiteId>(
-            rng::uniform_index(gen, topo.site_count()));
-        live.set_site_up(s, !live.is_site_up(s));
-      } else {
-        const auto l = static_cast<net::LinkId>(
-            rng::uniform_index(gen, topo.link_count()));
-        live.set_link_up(l, !live.is_link_up(l));
+    for (int step = 0; step < 300; ++step) {
+      for (int burst = 0; burst < 3; ++burst) {
+        if (rng::bernoulli(gen, 0.4)) {
+          const auto s = static_cast<net::SiteId>(
+              rng::uniform_index(gen, topo.site_count()));
+          live.set_site_up(s, !live.is_site_up(s));
+        } else {
+          const auto l = static_cast<net::LinkId>(
+              rng::uniform_index(gen, topo.link_count()));
+          live.set_link_up(l, !live.is_link_up(l));
+        }
       }
-    }
-    const std::vector<int> ref = csr_reference_labels(live);
-    std::map<int, std::int32_t> forward;
-    std::map<std::int32_t, int> backward;
-    for (net::SiteId s = 0; s < topo.site_count(); ++s) {
-      const std::int32_t mine = tracker.component_of(s);
-      ASSERT_EQ(ref[s] == -1, mine == kNoComponent) << "site " << s;
-      if (ref[s] == -1) continue;
-      auto [fit, finserted] = forward.try_emplace(ref[s], mine);
-      ASSERT_EQ(fit->second, mine) << "site " << s;
-      auto [bit, binserted] = backward.try_emplace(mine, ref[s]);
-      ASSERT_EQ(bit->second, ref[s]) << "site " << s;
+      const std::vector<int> ref = csr_reference_labels(live);
+      std::map<int, std::int32_t> forward;
+      std::map<std::int32_t, int> backward;
+      for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+        const std::int32_t mine = tracker.component_of(s);
+        ASSERT_EQ(ref[s] == -1, mine == kNoComponent) << n << " sites, site " << s;
+        if (ref[s] == -1) continue;
+        auto [fit, finserted] = forward.try_emplace(ref[s], mine);
+        ASSERT_EQ(fit->second, mine) << n << " sites, site " << s;
+        auto [bit, binserted] = backward.try_emplace(mine, ref[s]);
+        ASSERT_EQ(bit->second, ref[s]) << n << " sites, site " << s;
+      }
     }
   }
 }

@@ -3,7 +3,7 @@
 // minimal JSON reader and the structure the SARIF schema (and GitHub
 // code scanning) requires is asserted field by field — $schema/version,
 // tool.driver with a rule table, ruleId/ruleIndex agreement, physical
-// locations, and string escaping.
+// locations, and string escaping (no raw control characters).
 
 #include <gtest/gtest.h>
 
@@ -68,6 +68,8 @@ private:
     out->clear();
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_++];
+      // JSON forbids raw control characters inside a string.
+      if (static_cast<unsigned char>(c) < 0x20) return false;
       if (c == '\\' && pos_ < text_.size()) {
         const char esc = text_[pos_++];
         switch (esc) {
@@ -77,7 +79,19 @@ private:
           case '"': c = '"'; break;
           case '\\': c = '\\'; break;
           case '/': c = '/'; break;
-          default: return false;  // \uXXXX etc. unused by the writer
+          case 'u': {
+            // The writer escapes only bytes below 0x20, always as \u00XX.
+            if (text_.compare(pos_, 2, "00") != 0 || pos_ + 4 > text_.size())
+              return false;
+            const std::string hex = text_.substr(pos_ + 2, 2);
+            if (!std::isxdigit(static_cast<unsigned char>(hex[0])) ||
+                !std::isxdigit(static_cast<unsigned char>(hex[1])))
+              return false;
+            c = static_cast<char>(std::stoi(hex, nullptr, 16));
+            pos_ += 4;
+            break;
+          }
+          default: return false;
         }
       }
       out->push_back(c);
@@ -217,10 +231,15 @@ TEST(SarifWriter, ResultsRoundTripWithRuleIndexAndLocation) {
   r.path = "src/sim/simulator.cpp";
   r.line = 42;
   r.column = 7;
-  const Json log = write_and_parse(two_rules(), {r}, "quora_lint", "0.6");
+  SarifResult control = r;
+  control.message = "carriage\rreturn and \x01 byte";  // must not appear raw
+  const Json log =
+      write_and_parse(two_rules(), {r, control}, "quora_lint", "0.6");
   const Json& run = log.at("runs").array[0];
   EXPECT_EQ(run.at("tool").at("driver").at("version").str, "0.6");
-  ASSERT_EQ(run.at("results").array.size(), 1u);
+  ASSERT_EQ(run.at("results").array.size(), 2u);
+  EXPECT_EQ(run.at("results").array[1].at("message").at("text").str,
+            "carriage\rreturn and \x01 byte");
   const Json& result = run.at("results").array[0];
   EXPECT_EQ(result.at("ruleId").str, "L007");
   EXPECT_EQ(result.at("ruleIndex").number, 1.0);  // second table entry

@@ -276,20 +276,6 @@ RunResult run_plan(const fault::ChaosSpec& spec, std::uint64_t seed,
   return result;
 }
 
-void json_escape(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 /// One plan's sweep aggregate: per-region stats pooled across seeds.
 struct PlanSweep {
   std::string name;
@@ -324,11 +310,11 @@ void write_sweep_report(std::ostream& out,
   for (std::size_t p = 0; p < sweeps.size(); ++p) {
     const PlanSweep& s = sweeps[p];
     if (p != 0) out << ", ";
-    out << "{\"name\": \"";
-    json_escape(out, s.name);
-    out << "\", \"path\": \"";
-    json_escape(out, s.path);
-    out << "\", \"first_seed\": " << s.first_seed
+    out << "{\"name\": ";
+    io::write_json_string(out, s.name);
+    out << ", \"path\": ";
+    io::write_json_string(out, s.path);
+    out << ", \"first_seed\": " << s.first_seed
         << ", \"seeds\": " << s.seeds
         << ", \"safe\": " << (s.safe ? "true" : "false")
         << ", \"accesses\": " << s.decided << ", \"granted\": " << s.granted
@@ -343,9 +329,9 @@ void write_sweep_report(std::ostream& out,
           r.accesses == 0 ? 0.0
                           : r.latency_sum / static_cast<double>(r.accesses);
       if (i != 0) out << ", ";
-      out << "{\"region\": \"";
-      json_escape(out, r.region);
-      out << "\", \"accesses\": " << r.accesses
+      out << "{\"region\": ";
+      io::write_json_string(out, r.region);
+      out << ", \"accesses\": " << r.accesses
           << ", \"granted\": " << r.granted << ", \"availability\": " << avail
           << ", \"mean_latency\": " << mean_latency << "}";
     }
@@ -484,11 +470,11 @@ void write_race_report(std::ostream& out, const std::vector<PlanRace>& races) {
   for (std::size_t p = 0; p < races.size(); ++p) {
     const PlanRace& r = races[p];
     if (p != 0) out << ", ";
-    out << "{\"name\": \"";
-    json_escape(out, r.name);
-    out << "\", \"path\": \"";
-    json_escape(out, r.path);
-    out << "\", \"first_seed\": " << r.first_seed << ", \"seeds\": " << r.seeds
+    out << "{\"name\": ";
+    io::write_json_string(out, r.name);
+    out << ", \"path\": ";
+    io::write_json_string(out, r.path);
+    out << ", \"first_seed\": " << r.first_seed << ", \"seeds\": " << r.seeds
         << ", \"horizon\": " << r.horizon << ", \"frozen\": ";
     write_race_side(out, r.frozen);
     out << ", \"adaptive\": ";

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <tuple>
 
+#include "io/config_audit.hpp"
+
 namespace quora::lint {
 
 namespace {
@@ -108,27 +110,6 @@ void write_findings_text(std::ostream& out, const std::vector<Finding>& findings
   }
 }
 
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_findings_json(std::ostream& out, const std::vector<Finding>& findings,
                          bool include_all) {
   out << '[';
@@ -136,16 +117,16 @@ void write_findings_json(std::ostream& out, const std::vector<Finding>& findings
   for (const Finding& f : findings) {
     if ((f.suppressed || f.baselined) && !include_all) continue;
     out << (first ? "\n" : ",\n") << "  {\"code\": ";
-    write_json_string(out, lint_code_name(f.code));
+    io::write_json_string(out, lint_code_name(f.code));
     out << ", \"tag\": ";
-    write_json_string(out, lint_code_tag(f.code));
+    io::write_json_string(out, lint_code_tag(f.code));
     out << ", \"severity\": ";
-    write_json_string(out, lint_severity_name(f.severity));
+    io::write_json_string(out, lint_severity_name(f.severity));
     out << ", \"path\": ";
-    write_json_string(out, f.path);
+    io::write_json_string(out, f.path);
     out << ", \"line\": " << f.line << ", \"column\": " << f.column
         << ", \"message\": ";
-    write_json_string(out, f.message);
+    io::write_json_string(out, f.message);
     if (f.suppressed) out << ", \"suppressed\": true";
     if (f.baselined) out << ", \"baselined\": true";
     out << '}';

@@ -92,7 +92,4 @@ void write_findings_text(std::ostream& out, const std::vector<Finding>& findings
 void write_findings_json(std::ostream& out, const std::vector<Finding>& findings,
                          bool include_all);
 
-/// Minimal JSON string escaping shared by the writers.
-void write_json_string(std::ostream& out, std::string_view s);
-
 } // namespace quora::lint

@@ -44,10 +44,9 @@ struct ParsedEvent {
   unsigned x = 0;
 };
 
-/// Latency histogram mirroring the cluster's bucket plan, plus overflow.
+/// Latency histogram on the cluster's bucket plan, plus overflow.
 struct LatencyHist {
-  static constexpr double kBounds[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
-                                       0.1,   0.2,   0.5,   1.0,  2.0,  5.0};
+  static constexpr const auto& kBounds = msg::kLatencyBucketsSeconds;
   static constexpr std::size_t kBuckets = std::size(kBounds) + 1;
   std::uint64_t counts[kBuckets] = {};
   std::uint64_t total = 0;
