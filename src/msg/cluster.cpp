@@ -243,12 +243,28 @@ void Cluster::attach_adaptive(adapt::AdaptiveController* controller) {
 }
 
 void Cluster::schedule(double delay, Kind kind, std::uint32_t index) {
-  queue_.push(Event{now_ + delay, 0, kind, index, {}, 0, 0, 0});
+  queue_.push(Event{now_ + delay, 0, kind, index, 0});
 }
 
 void Cluster::arm_timer(net::SiteId site, std::uint64_t request, int phase) {
-  queue_.push(Event{now_ + params_.phase_timeout, 0, Kind::kTimer, 0, {}, site,
-                    request, phase});
+  queue_.push(Event{now_ + params_.phase_timeout, 0, Kind::kTimer, 0,
+                    store(Payload{{}, site, request, phase})});
+}
+
+std::uint32_t Cluster::store(const Payload& p) {
+  if (free_slots_.empty()) {
+    slab_.push_back(p);
+    return static_cast<std::uint32_t>(slab_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slab_[slot] = p;
+  return slot;
+}
+
+Cluster::Payload Cluster::take(std::uint32_t slot) {
+  free_slots_.push_back(slot);
+  return slab_[slot];
 }
 
 void Cluster::stamp(Message& m, net::SiteId author) const {
@@ -284,28 +300,21 @@ void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
   fifo_clock_[dir] = arrival;  // FIFO per direction
   ++messages_sent_;
 
-  Event e;
-  e.time = arrival;
-  e.kind = Kind::kDelivery;
-  e.index = link;
-  e.target = to;
-  e.message = m;
-  e.message.sender = from;
+  Payload delivery{m, to, 0, 0};
+  delivery.message.sender = from;
   if (fate.drop) {
     // Lost mid-flight. The FIFO clock already advanced past its would-be
     // arrival, so later messages keep their ordering.
     ++messages_dropped_;
   } else {
-    queue_.push(e);
+    queue_.push(Event{arrival, 0, Kind::kDelivery, link, store(delivery)});
   }
   if (fate.duplicate) {
     ++messages_sent_;
     ++messages_duplicated_;
     const double dup_arrival = std::max(fifo_clock_[dir], arrival + fate.dup_extra);
     fifo_clock_[dir] = dup_arrival;
-    Event dup = e;
-    dup.time = dup_arrival;
-    queue_.push(dup);
+    queue_.push(Event{dup_arrival, 0, Kind::kDelivery, link, store(delivery)});
   }
 }
 
@@ -318,7 +327,7 @@ void Cluster::flood(net::SiteId from, const Message& m, net::LinkId except_link,
 }
 
 void Cluster::start_flood(net::SiteId site, Message m) {
-  floods_[site][flood_key(m.request, flood_phase(m.kind))] = FloodState{0, false};
+  flood_entry(site, flood_key(m.request, flood_phase(m.kind))) = kFloodRoot;
   m.coordinator = site;
   stamp(m, site);
   flood(site, m, 0, false);
@@ -341,14 +350,39 @@ void Cluster::answer(net::SiteId here, net::LinkId link, const Message& m,
 }
 
 void Cluster::relay_toward_coordinator(net::SiteId at, const Message& m) {
-  const auto it = floods_[at].find(flood_key(m.request, flood_phase(m.kind)));
-  if (it == floods_[at].end() || !it->second.has_parent) return;  // path lost
-  send(at, it->second.parent_link, m);
+  const FloodWindow& w = floods_[at];
+  // A key below the window wraps past its end, so one test covers both.
+  const std::uint64_t i = flood_key(m.request, flood_phase(m.kind)) - w.base;
+  if (i >= w.entries.size() || w.entries[i] <= kFloodRoot) return;  // path lost
+  send(at, w.entries[i] - 2, m);
+}
+
+std::uint32_t& Cluster::flood_entry(net::SiteId site, std::uint64_t key) {
+  FloodWindow& w = floods_[site];
+  if (w.entries.empty()) {
+    w.base = key;
+  } else if (key < w.base) {
+    // An older flood reaches the site after a newer one, e.g. a message
+    // sent before the site last failed: extend the window downward.
+    w.entries.insert(w.entries.begin(), w.base - key, 0);
+    w.base = key;
+  }
+  const std::uint64_t i = key - w.base;
+  if (i >= w.entries.size()) w.entries.resize(i + 1, 0);
+  return w.entries[i];
+}
+
+Cluster::Coordinations::iterator Cluster::find_request(Coordinations& coords,
+                                                       std::uint64_t request) {
+  const auto it = std::lower_bound(
+      coords.begin(), coords.end(), request,
+      [](const auto& entry, std::uint64_t r) { return entry.first < r; });
+  return it != coords.end() && it->first == request ? it : coords.end();
 }
 
 Cluster::Pending* Cluster::find_coordination(net::SiteId site,
                                              std::uint64_t request, int phase) {
-  const auto it = pending_[site].find(request);
+  const auto it = find_request(pending_[site], request);
   if (it == pending_[site].end() || it->second.phase != phase) return nullptr;
   return &it->second;
 }
@@ -419,12 +453,15 @@ void Cluster::submit_access(net::SiteId origin, bool is_read) {
   p.submit_time = now_;
   p.oracle_granted = oracle;
   p.write_value = request;  // written payload: the request id (test-visible)
-  pending_[origin][request] = p;
+  pending_[origin].emplace_back(request, std::move(p));
   start_coordination(origin, request);
 }
 
 void Cluster::start_coordination(net::SiteId origin, std::uint64_t request) {
-  Pending& p = pending_[origin][request];
+  // The reference stays valid: nothing below adds to pending_[origin], and
+  // every call that erases from it (decide, begin_commit's crash) is the
+  // last thing done with `p`.
+  Pending& p = find_request(pending_[origin], request)->second;
   // Fresh attempt: snapshot the locally stored assignment and copy. A
   // retry re-reads both — the previous attempt may have adopted a newer
   // QR assignment from a stale-deny, or seen a commit land locally.
@@ -494,7 +531,7 @@ void Cluster::begin_commit(net::SiteId site, std::uint64_t request,
 }
 
 void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
-  const auto it = pending_[coordinator].find(old_request);
+  const auto it = find_request(pending_[coordinator], old_request);
   Pending p = std::move(it->second);
   pending_[coordinator].erase(it);
   // A write floods an abort, which also frees our own lease, so remote
@@ -521,14 +558,14 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
        static_cast<unsigned long long>(old_request), coordinator, p.attempt,
        static_cast<unsigned long long>(request));
 
-  pending_[coordinator].emplace(request, std::move(p));
-  queue_.push(Event{now_ + backoff, 0, Kind::kRetry, 0, {}, coordinator,
-                    request, 0});
+  pending_[coordinator].emplace_back(request, std::move(p));
+  queue_.push(Event{now_ + backoff, 0, Kind::kRetry, 0,
+                    store(Payload{{}, coordinator, request, 0})});
 }
 
 void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
                      bool granted, DenyReason reason) {
-  const auto it = pending_[coordinator].find(request);
+  const auto it = find_request(pending_[coordinator], request);
   if (it == pending_[coordinator].end()) return;
   const Pending& p = it->second;
 
@@ -615,17 +652,17 @@ void Cluster::abort_flood(net::SiteId coordinator, std::uint64_t request) {
   start_flood(coordinator, abort);
 }
 
-void Cluster::handle_delivery(const Event& e) {
+void Cluster::handle_delivery(net::LinkId link, const Payload& delivery) {
+  const Message& m = delivery.message;
+  const net::SiteId here = delivery.target;
   // In-flight messages die with the link or the destination.
-  if (!live_.is_link_up(e.index) || !live_.is_site_up(e.target)) return;
+  if (!live_.is_link_up(link) || !live_.is_site_up(here)) return;
   // One-way cuts discard at delivery time too — but invisibly to
   // LiveNetwork, so the oracle still believes the link works (gray).
-  if (dir_blocked_[direction(e.index, e.target)] != 0) {
+  if (dir_blocked_[direction(link, here)] != 0) {
     ++oneway_losses_;
     return;
   }
-  const Message& m = e.message;
-  const net::SiteId here = e.target;
 
   // §2.2 gossip: every message carries its author's assignment; any
   // receiver behind it adopts before acting.
@@ -636,11 +673,11 @@ void Cluster::handle_delivery(const Event& e) {
       relay_toward_coordinator(here, m);
       return;
     }
-  } else if (!floods_[here]
-                  .try_emplace(flood_key(m.request, flood_phase(m.kind)),
-                               FloodState{e.index, true})
-                  .second) {
-    return;  // already participated in this flood
+  } else {
+    std::uint32_t& entry =
+        flood_entry(here, flood_key(m.request, flood_phase(m.kind)));
+    if (entry != 0) return;  // already participated in this flood
+    entry = link + 2;
   }
 
   switch (m.kind) {
@@ -653,7 +690,7 @@ void Cluster::handle_delivery(const Event& e) {
                          !params_.mutations.accept_stale_qr;
       const bool vote_granted =
           !stale && (!m.is_write || lease_vote(here, m.request));
-      answer(here, e.index, m,
+      answer(here, link, m,
              vote_granted ? Message::Kind::kVoteReply : Message::Kind::kVoteDeny,
              copies_[here].version, copies_[here].value);
       return;
@@ -663,15 +700,15 @@ void Cluster::handle_delivery(const Event& e) {
         copies_[here] = Copy{m.value, m.version};
       }
       release_lease(here, m.request);
-      answer(here, e.index, m, Message::Kind::kCommitAck, m.version, 0);
+      answer(here, link, m, Message::Kind::kCommitAck, m.version, 0);
       return;
     case Message::Kind::kAbort:
       release_lease(here, m.request);
-      flood(here, m, e.index, true);
+      flood(here, m, link, true);
       return;
     case Message::Kind::kVoteDeny: {
       Pending* p = find_coordination(here, m.request, 1);
-      if (p == nullptr || !p->repliers.insert(m.replier).second) return;
+      if (p == nullptr || !p->repliers.insert(m.replier)) return;
       if (m.qr_version > p->qr_version) {
         // The replier holds a newer QR assignment than this coordination
         // ran under: the access must not proceed. (We already adopted the
@@ -695,7 +732,7 @@ void Cluster::handle_delivery(const Event& e) {
     }
     case Message::Kind::kVoteReply: {
       Pending* p = find_coordination(here, m.request, 1);
-      if (p == nullptr || !p->repliers.insert(m.replier).second) return;
+      if (p == nullptr || !p->repliers.insert(m.replier)) return;
       p->votes += m.votes;
       if (m.version > p->best_version) {
         p->best_version = m.version;
@@ -710,7 +747,7 @@ void Cluster::handle_delivery(const Event& e) {
     }
     case Message::Kind::kCommitAck: {
       Pending* p = find_coordination(here, m.request, 2);
-      if (p == nullptr || !p->ackers.insert(m.replier).second) return;
+      if (p == nullptr || !p->ackers.insert(m.replier)) return;
       p->acked += m.votes;
       if (p->spec.allows_write(p->acked)) decide(here, m.request, true);
       return;
@@ -718,18 +755,18 @@ void Cluster::handle_delivery(const Event& e) {
   }
 }
 
-void Cluster::handle_timer(const Event& e) {
-  const Pending* p = find_coordination(e.target, e.request, e.phase);
+void Cluster::handle_timer(const Payload& timer) {
+  const Pending* p = find_coordination(timer.target, timer.request, timer.phase);
   if (p == nullptr) return;  // already decided, or superseded by phase 2
   const bool budget_ok =
       params_.access_budget <= 0.0 ||
       now_ - p->submit_time < params_.access_budget;
-  if (e.phase == 1 && p->attempt < params_.max_retries && budget_ok &&
-      live_.is_site_up(e.target)) {
-    retry(e.target, e.request);
+  if (timer.phase == 1 && p->attempt < params_.max_retries && budget_ok &&
+      live_.is_site_up(timer.target)) {
+    retry(timer.target, timer.request);
     return;
   }
-  decide(e.target, e.request, false,
+  decide(timer.target, timer.request, false,
          p->attempt > 0 ? DenyReason::kAbandoned : DenyReason::kTimeout);
 }
 
@@ -772,7 +809,7 @@ void Cluster::on_site_failed(net::SiteId s) {
              DenyReason::kCoordinatorCrash);
     }
   }
-  floods_[s].clear();
+  floods_[s] = FloodWindow{};  // frees the window's memory too
   leases_[s] = Lease{};  // volatile
 }
 
@@ -997,22 +1034,25 @@ void Cluster::step(const Event& e) {
       break;
     }
     case Kind::kDelivery:
-      handle_delivery(e);
+      handle_delivery(e.index, take(e.slot));
       break;
     case Kind::kTimer:
-      handle_timer(e);
+      handle_timer(take(e.slot));
       break;
     case Kind::kFault:
       apply_fault(injector_->timeline()[e.index]);
       break;
-    case Kind::kRetry:
+    case Kind::kRetry: {
       // The coordinator may have crashed while backing off (the pending
       // entry resolves as coordinator-crash when the site fails).
-      if (pending_[e.target].contains(e.request) &&
-          live_.is_site_up(e.target)) {
-        start_coordination(e.target, e.request);
+      const Payload p = take(e.slot);
+      Coordinations& coords = pending_[p.target];
+      if (find_request(coords, p.request) != coords.end() &&
+          live_.is_site_up(p.target)) {
+        start_coordination(p.target, p.request);
       }
       break;
+    }
     case Kind::kFaultRecover:
       // A correlated-failure victim comes back. No Poisson rescheduling
       // and no draw: the site's own fail/repair process runs on.

@@ -1,14 +1,16 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapt/controller.hpp"
+#include "conn/bitwords.hpp"
 #include "conn/component_tracker.hpp"
 #include "conn/live_network.hpp"
 #include "core/analysis_annotations.hpp"
@@ -185,8 +187,8 @@ public:
   /// Entry points of the (future) msg shard: L007/L008 prove that nothing
   /// reachable from here touches another shard's QUORA_SHARD_LOCAL state
   /// or an undeclared mutable global. (No QUORA_HOT_PATH here — the
-  /// message protocol's per-access maps and flood state allocate by
-  /// design.)
+  /// coordination tables, flood windows and payload slab grow on demand,
+  /// and each coordination allocates its replier and acker sets.)
   QUORA_SHARD_ENTRY(msg) void run_decided_accesses(std::uint64_t count);
 
   /// Run until the simulated clock reaches `t_end` (the soak-harness
@@ -292,6 +294,42 @@ public:
   void model_rebind() noexcept { tracker_.rebind(live_); }
 
 private:
+  /// A set of sites, one bit each: insert-and-test, a popcount for the
+  /// size and iteration in ascending site order.
+  class SiteSet {
+    using Word = conn::bits::Word;
+    static constexpr std::size_t kBits = conn::bits::kWordBits;
+
+  public:
+    /// Adds `s`; false if it was already in the set.
+    bool insert(net::SiteId s) {
+      const std::size_t w = s / kBits;
+      if (w >= words_.size()) words_.resize(w + 1, 0);
+      const Word bit = Word{1} << (s % kBits);
+      const bool added = (words_[w] & bit) == 0;
+      words_[w] |= bit;
+      return added;
+    }
+    void clear() noexcept { std::fill(words_.begin(), words_.end(), Word{0}); }
+    std::uint64_t size() const noexcept {
+      std::uint64_t n = 0;
+      for (const Word w : words_) n += static_cast<std::uint64_t>(std::popcount(w));
+      return n;
+    }
+    template <class F>
+    void for_each(F f) const {
+      for (std::size_t w = 0; w < words_.size(); ++w) {
+        for (Word bits = words_[w]; bits != 0; bits &= bits - 1) {
+          f(static_cast<net::SiteId>(
+              w * kBits + static_cast<std::size_t>(std::countr_zero(bits))));
+        }
+      }
+    }
+
+  private:
+    std::vector<Word> words_;
+  };
+
   struct Pending {  // coordinator-side state
     bool is_read = false;
     int phase = 1;
@@ -303,8 +341,8 @@ private:
     net::Vote votes = 0;        // phase-1 votes collected
     net::Vote denied = 0;       // phase-1 votes refused (leased elsewhere)
     net::Vote acked = 0;        // phase-2 votes acked
-    std::set<net::SiteId> repliers;
-    std::set<net::SiteId> ackers;
+    SiteSet repliers;
+    SiteSet ackers;
     std::uint64_t best_version = 0;
     std::uint64_t best_value = 0;
     std::uint64_t write_value = 0;
@@ -315,10 +353,20 @@ private:
         std::uint64_t obs_prev_request = 0;)  // id this retry superseded
   };
 
-  struct FloodState {  // per (site, flood id): dedup + reverse path
-    net::LinkId parent_link = 0;
-    bool has_parent = false;
+  /// One site's coordinations in ascending request id. Ids come from one
+  /// counter, so every insert appends.
+  using Coordinations = std::vector<std::pair<std::uint64_t, Pending>>;
+
+  /// One site's flood state (dedup + reverse path), indexed by flood_key
+  /// from `base`. An entry is 0 where the site has not visited the flood,
+  /// kFloodRoot at the flood's coordinator, and link + 2 where the site
+  /// was first reached over `link`. The window begins at the first key the
+  /// site visits after a (re)start and is dropped when the site fails.
+  struct FloodWindow {
+    std::uint64_t base = 0;
+    std::vector<std::uint32_t> entries;
   };
+  static constexpr std::uint32_t kFloodRoot = 1;
 
   struct Copy {
     std::uint64_t value = 0;
@@ -363,16 +411,27 @@ private:
     /// attached; draws nothing — the control loop is RNG-free).
     kAdaptEpoch,
   };
+  /// The heap record. What a delivery, timer or retry carries beyond it
+  /// lives in slab_, so a heap move copies 32 bytes.
   struct Event {
     double time = 0.0;
     std::uint64_t seq = 0;
     Kind kind = Kind::kAccess;
-    std::uint32_t index = 0;      // site/link/timeline entry
-    Message message{};            // kDelivery
-    net::SiteId target = 0;       // kDelivery destination, kTimer/kRetry owner
-    std::uint64_t request = 0;    // kTimer/kRetry
-    int phase = 0;                // kTimer
+    std::uint32_t index = 0;  // site/link/timeline entry
+    std::uint32_t slot = 0;   // kDelivery/kTimer/kRetry: payload in slab_
   };
+  static_assert(sizeof(Event) <= 32, "the heap record must stay 32 bytes");
+  struct Payload {
+    Message message{};          // kDelivery
+    net::SiteId target = 0;     // kDelivery destination, kTimer/kRetry owner
+    std::uint64_t request = 0;  // kTimer/kRetry
+    int phase = 0;              // kTimer
+  };
+  /// Puts `p` in a free slot of slab_ and returns the slot.
+  std::uint32_t store(const Payload& p);
+  /// Copies slot's payload out and frees the slot: a handler runs on the
+  /// copy, so the sends it makes may grow the slab.
+  Payload take(std::uint32_t slot);
   void step(const Event& e);
   /// Queues a background, recovery or epoch event `delay` from now.
   void schedule(double delay, Kind kind, std::uint32_t index);
@@ -396,8 +455,13 @@ private:
   void answer(net::SiteId here, net::LinkId link, const Message& m,
               Message::Kind kind, std::uint64_t version, std::uint64_t value);
   void relay_toward_coordinator(net::SiteId at, const Message& m);
-  void handle_delivery(const Event& e);
-  void handle_timer(const Event& e);
+  /// `site`'s entry for flood `key`, its window grown to cover the key.
+  std::uint32_t& flood_entry(net::SiteId site, std::uint64_t key);
+  void handle_delivery(net::LinkId link, const Payload& delivery);
+  void handle_timer(const Payload& timer);
+  /// The entry of coordination `request` in `coords`, or end().
+  static Coordinations::iterator find_request(Coordinations& coords,
+                                              std::uint64_t request);
   /// The coordination `request` led by `site`, if it is still in `phase`.
   Pending* find_coordination(net::SiteId site, std::uint64_t request,
                              int phase);
@@ -486,13 +550,17 @@ private:
   /// Pending events of both modes: the timed run pops them in (time, seq)
   /// order; in model mode the explorer picks what fires next from it.
   QUORA_SHARD_LOCAL(msg) sim::EventQueue<Event> queue_;
+  /// Payloads of the pending deliveries, timers and retries, by slot, and
+  /// the slots free for reuse.
+  QUORA_SHARD_LOCAL(msg) std::vector<Payload> slab_;
+  QUORA_SHARD_LOCAL(msg) std::vector<std::uint32_t> free_slots_;
   QUORA_SHARD_LOCAL(msg) double now_ = 0.0;
 
   QUORA_SHARD_LOCAL(msg) std::vector<Copy> copies_;
   QUORA_SHARD_LOCAL(msg) std::vector<Lease> leases_;
   QUORA_SHARD_LOCAL(msg) std::vector<OracleEntry> oracle_cache_;                   // per site
-  QUORA_SHARD_LOCAL(msg) std::vector<std::map<std::uint64_t, Pending>> pending_;   // per site
-  QUORA_SHARD_LOCAL(msg) std::vector<std::map<std::uint64_t, FloodState>> floods_; // per site
+  QUORA_SHARD_LOCAL(msg) std::vector<Coordinations> pending_;   // per site
+  QUORA_SHARD_LOCAL(msg) std::vector<FloodWindow> floods_;       // per site
   QUORA_SHARD_LOCAL(msg) std::vector<double> fifo_clock_;  // per directed link
   /// One-way cuts, indexed like fifo_clock_ (2*link + dir). A blocked
   /// direction silently discards at delivery time, mirroring how in-flight

@@ -35,7 +35,8 @@ std::vector<std::uint64_t> Cluster::model_fifo_ranks() const {
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const Event& e = pending[i];
     if (e.kind == Kind::kDelivery)
-      order.emplace_back(direction(e.index, e.target), e.time, e.seq, i);
+      order.emplace_back(direction(e.index, slab_[e.slot].target), e.time,
+                         e.seq, i);
   }
   std::sort(order.begin(), order.end());
   std::vector<std::uint64_t> rank(pending.size(), 0);
@@ -58,12 +59,13 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   out.reserve(pending.size());
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const Event& e = pending[i];
-    ModelEvent me{e.seq, ModelEventKind::kTimer, e.target, e.index, e.request,
-                  e.phase, {}};
+    const Payload& p = slab_[e.slot];
+    ModelEvent me{e.seq, ModelEventKind::kTimer, p.target, e.index, p.request,
+                  p.phase, {}};
     if (e.kind == Kind::kDelivery) {
       if (rank[i] != 0) continue;  // behind its direction's FIFO head
       me.kind = ModelEventKind::kDelivery;
-      me.message = e.message;
+      me.message = p.message;
     }
     out.push_back(me);
   }
@@ -86,8 +88,11 @@ void Cluster::model_purge_dead_timers() {
     // serialization handle these two only.
     QUORA_PRECONDITION(e.kind == Kind::kDelivery || e.kind == Kind::kTimer,
                        "model mode schedules only deliveries and timers");
-    return e.kind == Kind::kTimer &&
-           find_coordination(e.target, e.request, e.phase) == nullptr;
+    if (e.kind != Kind::kTimer) return false;
+    const Payload& p = slab_[e.slot];
+    if (find_coordination(p.target, p.request, p.phase) != nullptr) return false;
+    free_slots_.push_back(e.slot);
+    return true;
   });
 }
 
@@ -148,8 +153,10 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   }
   for (const char b : dir_blocked_) u(static_cast<std::uint64_t>(b));
 
-  // Per-site durable + volatile protocol state. std::map iteration is in
-  // key order, so the encoding is canonical by construction.
+  // Per-site durable + volatile protocol state. Coordinations are kept in
+  // ascending request id, replier and acker sets iterate in ascending site
+  // order and flood windows in ascending key, so the encoding is canonical
+  // by construction.
   for (net::SiteId s = 0; s < topo_->site_count(); ++s) {
     u(copies_[s].value);
     u(copies_[s].version);
@@ -172,9 +179,9 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
       u(p.denied);
       u(p.acked);
       u(p.repliers.size());
-      for (const net::SiteId r : p.repliers) u(r);
+      p.repliers.for_each(u);
       u(p.ackers.size());
-      for (const net::SiteId r : p.ackers) u(r);
+      p.ackers.for_each(u);
       u(p.best_version);
       u(p.best_value);
       u(p.write_value);
@@ -183,11 +190,17 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
       u(floor_of(installs_, p.submit_time));
     }
 
-    u(floods_[s].size());
-    for (const auto& [key, fs] : floods_[s]) {
-      u(key);
-      u(fs.has_parent ? 1 : 0);
-      u(fs.has_parent ? fs.parent_link : 0);
+    // The visited count goes first; it is known once the window is read.
+    const FloodWindow& w = floods_[s];
+    const std::size_t count_at = out.size();
+    u(0);
+    for (std::size_t i = 0; i < w.entries.size(); ++i) {
+      const std::uint32_t entry = w.entries[i];
+      if (entry == 0) continue;
+      ++out[count_at];
+      u(w.base + i);
+      u(entry > kFloodRoot ? 1 : 0);
+      u(entry > kFloodRoot ? entry - 2 : 0);
     }
   }
   u(next_request_);
@@ -219,11 +232,12 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   encodings.reserve(queue_.size());
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const Event& e = pending[i];
+    const Payload& p = slab_[e.slot];
     std::vector<std::uint64_t> enc;
     if (e.kind == Kind::kDelivery) {
-      const Message& m = e.message;
+      const Message& m = p.message;
       enc = {1,
-             direction(e.index, e.target),
+             direction(e.index, p.target),
              rank[i],
              static_cast<std::uint64_t>(m.kind),
              m.is_write ? 1u : 0u,
@@ -238,7 +252,7 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
              m.qr_r,
              m.qr_w};
     } else {
-      enc = {2, e.target, e.request, static_cast<std::uint64_t>(e.phase)};
+      enc = {2, p.target, p.request, static_cast<std::uint64_t>(p.phase)};
     }
     encodings.push_back(std::move(enc));
   }

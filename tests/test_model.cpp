@@ -234,6 +234,48 @@ TEST(ModelHooks, EnabledEventsComeInSeqOrder) {
   }
 }
 
+TEST(ModelHooks, SerializationIsPinnedAcrossARestart) {
+  // The traversal counts pin which states compare equal; this pins the
+  // words model_serialize emits, from which the fingerprints are made.
+  // Walk crash_cleanup's cluster (mutation off) firing the first enabled
+  // event each time, crash-restart site 0 before the 4th, and fold every
+  // state's words into one FNV-1a digest. The restarted site then gets a
+  // message of a flood it saw before the crash, so its flood state
+  // changes under an older key than the ones it holds.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/mutation_crash_cleanup.model");
+  quora::msg::Cluster::Params params;
+  params.model_mode = true;
+  params.spec = scope.chaos.quorum;
+  params.mutations = {};
+  quora::msg::Cluster cluster(scope.chaos.system->topology, params, 1);
+  for (const quora::fault::Action& a : scope.accesses) {
+    cluster.model_submit_access(a.site, a.is_read);
+  }
+  std::uint64_t h = quora::msg::kFnvOffset;
+  std::vector<std::uint64_t> words;
+  std::size_t fired = 0;
+  for (;;) {
+    if (fired == 3) {
+      for (const std::vector<quora::fault::Action>& group : scope.faults) {
+        for (const quora::fault::Action& a : group) cluster.model_apply_fault(a);
+      }
+    }
+    const std::vector<quora::msg::Cluster::ModelEvent> events =
+        cluster.model_enabled_events();
+    if (events.empty()) break;
+    ASSERT_TRUE(cluster.model_step_event(events.front().seq));
+    ++fired;
+    words.clear();
+    cluster.model_serialize(words);
+    for (const std::uint64_t w : words) h = quora::msg::fnv1a_step(h, w);
+  }
+  // Both values were recorded on the std::map/std::set encoding that the
+  // flat tables replaced.
+  EXPECT_EQ(fired, 22u);
+  EXPECT_EQ(h, 0x47e4ffee1c31da24ull);
+}
+
 TEST(ModelExplorer, StateBudgetCapsAreReported) {
   Scope scope = parse(
       "quorum 2 2\nsites 3\nring\n"

@@ -215,6 +215,26 @@ TEST(Cluster, WriteConflictsAreTheOnlyFailureFreeLoss) {
   }
 }
 
+TEST(Cluster, WriteQuorumsCountRepliersPastTheFirst64Sites) {
+  // A coordinator's repliers and ackers are site bitsets. A write quorum
+  // of 90 of 101 votes needs votes and acks from sites past the first
+  // 64-bit word, so sets that lost or aliased them would grant no write.
+  // Mostly reads: concurrent writes at this quorum collide on leases.
+  const net::Topology topo = net::make_ring_with_chords(101, 4);
+  Cluster::Params p = reliable_params(101, 12);
+  p.alpha = 0.9;
+  Cluster cluster(topo, p, 5);
+  cluster.run_decided_accesses(400);
+  std::size_t writes = 0;
+  for (const AccessOutcome& o : cluster.outcomes()) {
+    if (o.is_read || !o.granted) continue;
+    ++writes;
+    EXPECT_GE(o.votes_collected, 90u);
+    EXPECT_LE(o.votes_collected, 101u);
+  }
+  EXPECT_GE(writes, 10u);  // 15 at this seed
+}
+
 TEST(Cluster, MessageVolumeScalesWithTopology) {
   // Floods visit each link a bounded number of times per coordination;
   // denser topologies pay proportionally more messages.
