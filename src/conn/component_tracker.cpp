@@ -71,9 +71,10 @@ void ComponentTracker::apply_site_up(net::SiteId s) const {
   // Neighbor-up is judged by *our* labeling, not the live flags: a
   // neighbor that recovers later in the replay window still carries
   // kNoComponent here, and its own delta performs the union when we reach
-  // it. Link state may be read from the live network because a link that
-  // has gone down since this delta forces a full rebuild before the
-  // replay commits, and early unions are erased by that rebuild.
+  // it. Link state is read from the live network, the one the replay
+  // syncs to: a link that comes up later in the window only unites early
+  // what its own delta would, and one that has gone down since this delta
+  // is skipped here and judged by its own delta (see sync_slow).
   const std::uint8_t* link_up = live_->link_up_flags().data();
   for (const net::Topology::Edge& e : topo.neighbors(s)) {
     if (!link_up[e.link]) continue;
@@ -90,6 +91,25 @@ void ComponentTracker::apply_link_up(net::LinkId l) const {
   if (la == kNoComponent || lb == kNoComponent) return;
   unite(la, lb);
   compact_ = false;
+}
+
+bool ComponentTracker::loss_splits_nothing(net::LinkId l) const {
+  const net::Link& e = live_->topology().link(l);
+  const std::span<const bits::Word> up = live_->site_up_words();
+  const auto is_up = [&up](net::SiteId s) {
+    return ((up[s / bits::kWordBits] >> (s % bits::kWordBits)) & 1u) != 0;
+  };
+  // A down endpoint was down all along (had it gone down in the window,
+  // its own delta would force the rebuild), so the link carried nothing.
+  if (!is_up(e.a) || !is_up(e.b)) return true;
+  if (!live_->has_dense_adjacency()) return false;
+  // A shared up neighbour over up links keeps a and b joined.
+  const bits::Word* row_a = live_->adjacency_row(e.a);
+  const bits::Word* row_b = live_->adjacency_row(e.b);
+  for (std::size_t w = 0; w < live_->adjacency_row_words(); ++w) {
+    if ((row_a[w] & row_b[w] & up[w]) != 0) return true;
+  }
+  return false;
 }
 
 void ComponentTracker::set_metrics(obs::Registry* registry) {
@@ -115,9 +135,12 @@ void ComponentTracker::sync_slow() const {
       case LiveNetwork::DeltaKind::kLinkUp:
         apply_link_up(d.index);
         break;
+      case LiveNetwork::DeltaKind::kLinkDown:
+        if (loss_splits_nothing(d.index)) break;
+        [[fallthrough]];
       default:
-        // Failures (and bulk resets) can split components; unions cannot
-        // express that, so recompute the labeling outright.
+        // Other failures (and bulk resets) can split components; unions
+        // cannot express that, so recompute the labeling outright.
         rebuild();
         return;
     }

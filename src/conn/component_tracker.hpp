@@ -26,13 +26,25 @@ inline constexpr std::int32_t kNoComponent = -1;
 ///  - site/link **recovery** deltas only ever merge components, so they
 ///    are absorbed in place by a union-find over the component labels —
 ///    no graph traversal, no allocation;
-///  - the first **failure** (or bulk) delta aborts the replay and triggers
+///  - a **link-loss** delta that cannot split a component of the network
+///    the replay syncs to is absorbed too: an endpoint is down there, or
+///    both are up and share a neighbour that is up over up links (one AND
+///    of their dense adjacency rows with `site_up_words`);
+///  - any other **failure** (or bulk) delta aborts the replay and triggers
 ///    one full rebuild into scratch buffers reused across rebuilds.
 ///
+/// The absorbed result is exact because every delta is judged against
+/// the network at the version the replay syncs to. An absorbed loss has
+/// its endpoints connected there, so the partition before the window
+/// refines the final one; unions run only along links up in that network
+/// or along a recovered link whose later loss is judged in its turn. So
+/// labels, votes, sizes and member lists equal what a rebuild gives.
+///
 /// Under the paper's symmetric fail/repair model half of all network
-/// events are recoveries, so this halves the rebuild count of the
-/// version-dirty scheme it replaces, and steady-state refreshes perform
-/// zero heap allocations.
+/// events are recoveries, and on dense topologies nearly every link loss
+/// has a shared neighbour, so a rebuild is left mostly to site failures
+/// (and to every link loss on sparse ones such as rings). Steady-state
+/// refreshes perform zero heap allocations.
 ///
 /// The rebuild itself comes in two flavors, selected by the network:
 ///
@@ -144,6 +156,7 @@ private:
   QUORA_ALLOC_OK void compact() const;
   QUORA_ALLOC_OK void apply_site_up(net::SiteId s) const;
   void apply_link_up(net::LinkId l) const;
+  bool loss_splits_nothing(net::LinkId l) const;
   std::int32_t find(std::int32_t label) const;
   void unite(std::int32_t a, std::int32_t b) const;
 

@@ -39,8 +39,9 @@ namespace quora::conn {
 /// Alongside the version counter, a ring journal records *what* each
 /// version bump changed. Consumers that fell at most `journal_capacity()`
 /// versions behind can replay the deltas instead of re-deriving state from
-/// scratch — this is what lets the component tracker absorb recovery
-/// events incrementally and rebuild only on failures.
+/// scratch — this is what lets the component tracker absorb recoveries,
+/// and link losses that split nothing, incrementally and rebuild only on
+/// the other failures.
 class LiveNetwork {
 public:
   /// One effective state change. `kBulk` marks a compound mutation

@@ -42,42 +42,68 @@ struct Event {
 /// simulator's event loop. Because every (time, seq) key is unique the pop
 /// order — and therefore every simulation trace — is identical to the
 /// binary heap's, independent of arity.
+///
+/// pop() leaves the root slot *spent*: it returns a copy of the root and
+/// defers the removal. The next push() writes into the spent root and
+/// sinks it, stopping at the first level whose earliest child is later,
+/// so the simulator's pop-then-push per event (every handler schedules
+/// its process's next event) costs one short descent instead of a full
+/// removal plus an insertion. The next pop() instead first removes the
+/// spent root the usual way. A spent root still holds the earliest key
+/// in the array, so the array stays a valid heap with it in place:
+/// size(), empty(), top() and pending() skip it, and remove()/remove_if()
+/// work around it without moving it (they change nothing when nothing
+/// matches).
 template <class E>
 class EventQueue {
 public:
   QUORA_HOT_PATH void push(E e) {
     e.seq = next_seq_++;
+    if (spent_) {
+      spent_ = false;
+      heap_.front() = e;
+      sift_down(0);
+      return;
+    }
     // quora-lint: allow(L006) amortized growth: every pop hands back a slot, so steady state never reallocates; quora_bench --alloc-check enforces it
     heap_.push_back(e);
     sift_up(heap_.size() - 1);
   }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return size() == 0; }
+  std::size_t size() const noexcept { return heap_.size() - spent_; }
 
   /// Backing-store capacity, exposed so tests can assert that clear()
   /// genuinely released memory.
   std::size_t capacity() const noexcept { return heap_.capacity(); }
 
   /// The event pop() would return. Precondition: !empty().
-  const E& top() const { return heap_.front(); }
+  const E& top() const {
+    if (!spent_) return heap_.front();
+    // The earliest pending event is one of the spent root's children.
+    return heap_[earliest_child(1, std::min<std::size_t>(4, heap_.size() - 1))];
+  }
 
   QUORA_HOT_PATH E pop() {
-    E e = heap_.front();
-    const E last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_hole_down(last);
-    return e;
+    if (spent_) {
+      const E last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_hole_down(last);
+    }
+    spent_ = true;
+    return heap_.front();
   }
 
   /// Every pending event, in heap order (not sorted): for a scheduler that
   /// picks what fires next itself, as the model checker does.
-  std::span<const E> pending() const noexcept { return heap_; }
+  std::span<const E> pending() const noexcept {
+    return std::span<const E>(heap_).subspan(spent_);
+  }
 
   /// Removes the pending event stamped `seq` and returns it; nullopt (and
   /// no change) when no such event is pending.
   std::optional<E> remove(std::uint64_t seq) {
-    const auto it = std::find_if(heap_.begin(), heap_.end(),
+    const auto it = std::find_if(heap_.begin() + spent_, heap_.end(),
                                  [seq](const E& e) { return e.seq == seq; });
     if (it == heap_.end()) return std::nullopt;
     const E e = *it;
@@ -86,20 +112,22 @@ public:
     heap_.pop_back();
     if (i < heap_.size()) {
       heap_[i] = last;
-      sift_up(i);
+      sift_up(i);  // never climbs into a spent root: it holds the earliest key
       sift_down(i);
     }
     return e;
   }
 
   /// Removes every pending event `pred` holds for, then re-heapifies;
-  /// returns how many were removed.
+  /// returns how many were removed. `pred` sees each pending event exactly
+  /// once (a spent root is not pending), so it may act on what it drops.
   template <class Pred>
   std::size_t remove_if(Pred pred) {
-    const auto kept = std::remove_if(heap_.begin(), heap_.end(), pred);
+    const auto kept = std::remove_if(heap_.begin() + spent_, heap_.end(), pred);
     const auto removed = static_cast<std::size_t>(heap_.end() - kept);
     heap_.erase(kept, heap_.end());
     // Floyd's heapify: sift down every node that has a child, bottom-up.
+    // A spent root, the earliest key, stays where it is.
     for (std::size_t i = heap_.size() / 4 + 1; i-- > 0;) sift_down(i);
     return removed;
   }
@@ -110,6 +138,7 @@ public:
   void clear() {
     std::vector<E>().swap(heap_);
     next_seq_ = 0;
+    spent_ = false;
   }
 
 private:
@@ -127,6 +156,22 @@ private:
             static_cast<int>(a.seq < b.seq));
   }
 
+  /// Index of the earliest child among the `count` (1..4) starting at
+  /// `first`: a branchless tournament over a full set of four.
+  std::size_t earliest_child(std::size_t first, std::size_t count) const {
+    const E* const h = heap_.data();
+    if (count == 4) {
+      const std::size_t lo = first + earlier_nb(h[first + 1], h[first]);
+      const std::size_t hi = first + 2 + earlier_nb(h[first + 3], h[first + 2]);
+      return earlier_nb(h[hi], h[lo]) ? hi : lo;
+    }
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < first + count; ++c) {
+      if (earlier(h[c], h[best])) best = c;
+    }
+    return best;
+  }
+
   void sift_up(std::size_t i) {
     E* const h = heap_.data();
     const E e = h[i];
@@ -139,8 +184,9 @@ private:
     h[i] = e;
   }
 
-  /// Classic early-exit descent from `i`, for the removal paths. The
-  /// subtrees below `i` must already be heaps; nothing above `i` is read.
+  /// Early-exit descent from `i`: the event there swaps with the earliest
+  /// child until no child is earlier. The subtrees below `i` must already
+  /// be heaps; nothing above `i` is read.
   void sift_down(std::size_t i) {
     E* const h = heap_.data();
     const std::size_t n = heap_.size();
@@ -148,11 +194,7 @@ private:
     const E e = h[i];
     std::size_t first;
     while ((first = (i << 2) + 1) < n) {
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (earlier(h[c], h[best])) best = c;
-      }
+      const std::size_t best = earliest_child(first, std::min<std::size_t>(4, n - first));
       if (!earlier(h[best], e)) break;
       h[i] = h[best];
       i = best;
@@ -170,19 +212,8 @@ private:
     const std::size_t n = heap_.size();
     std::size_t i = 0;
     std::size_t first;
-    while ((first = (i << 2) + 1) + 4 <= n) {
-      // Tournament-min over the four children; branchless by construction.
-      const std::size_t lo = first + earlier_nb(h[first + 1], h[first]);
-      const std::size_t hi = first + 2 + earlier_nb(h[first + 3], h[first + 2]);
-      const std::size_t best = earlier_nb(h[hi], h[lo]) ? hi : lo;
-      h[i] = h[best];
-      i = best;
-    }
-    if (first < n) {  // partial bottom level
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (earlier(h[c], h[best])) best = c;
-      }
+    while ((first = (i << 2) + 1) < n) {
+      const std::size_t best = earliest_child(first, std::min<std::size_t>(4, n - first));
       h[i] = h[best];
       i = best;
     }
@@ -192,6 +223,7 @@ private:
 
   std::vector<E> heap_;
   std::uint64_t next_seq_ = 0;
+  bool spent_ = false;  // heap_.front() was popped; see the class comment
 };
 
 } // namespace quora::sim

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -570,6 +572,116 @@ TEST(ComponentTracker, DenseRandomizedAgreesWithReference) {
         ASSERT_EQ(bit->second, ref[s]) << n << " sites, site " << s;
       }
     }
+  }
+}
+
+TEST(ComponentTracker, LinkLossBurstsAgreeWithReference) {
+  // Long delta bursts between queries, so one replay spans many deltas:
+  // link losses absorbed next to recoveries, site toggles and links
+  // flipped back within the burst (down-then-up and up-then-down).
+  const std::vector<net::Topology> topologies{
+      net::make_fully_connected(12), net::make_fully_connected(80),
+      net::make_erdos_renyi(70, 0.15, 3), net::make_erdos_renyi(130, 0.08, 5),
+      net::make_ring_with_chords(40, 30)};
+  for (const net::Topology& topo : topologies) {
+    LiveNetwork live(topo);
+    const ComponentTracker tracker(live);
+    rng::Xoshiro256ss gen(2026);
+    std::vector<net::LinkId> flip_back;
+    for (int burst = 0; burst < 3000; ++burst) {
+      const std::uint64_t toggles = 1 + rng::uniform_index(gen, 40);
+      flip_back.clear();
+      for (std::uint64_t t = 0; t < toggles; ++t) {
+        if (rng::bernoulli(gen, 0.15)) {
+          const auto s = static_cast<net::SiteId>(
+              rng::uniform_index(gen, topo.site_count()));
+          live.set_site_up(s, !live.is_site_up(s));
+        } else {
+          const auto l = static_cast<net::LinkId>(
+              rng::uniform_index(gen, topo.link_count()));
+          live.set_link_up(l, !live.is_link_up(l));
+          if (rng::uniform_index(gen, 5) == 0) flip_back.push_back(l);
+        }
+      }
+      for (const net::LinkId l : flip_back) live.set_link_up(l, !live.is_link_up(l));
+
+      const std::vector<int> ref = csr_reference_labels(live);
+      std::vector<std::vector<net::SiteId>> ref_members;
+      for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+        if (ref[s] == -1) continue;
+        if (static_cast<std::size_t>(ref[s]) >= ref_members.size())
+          ref_members.resize(static_cast<std::size_t>(ref[s]) + 1);
+        ref_members[static_cast<std::size_t>(ref[s])].push_back(s);
+      }
+      // Unit votes: a component's votes equal its size.
+      std::size_t ref_max = 0;
+      for (const auto& m : ref_members) ref_max = std::max(ref_max, m.size());
+      ASSERT_EQ(tracker.component_count(), ref_members.size())
+          << topo.name() << " burst " << burst;
+      ASSERT_EQ(tracker.max_component_votes(), ref_max)
+          << topo.name() << " burst " << burst;
+      for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+        const std::size_t size =
+            ref[s] == -1 ? 0 : ref_members[static_cast<std::size_t>(ref[s])].size();
+        ASSERT_EQ(tracker.component_votes(s), size) << topo.name() << " site " << s;
+        ASSERT_EQ(tracker.component_size(s), size) << topo.name() << " site " << s;
+      }
+      for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+        if (ref[s] == -1) continue;
+        const std::span<const net::SiteId> mine = tracker.members(tracker.component_of(s));
+        const std::vector<net::SiteId>& want =
+            ref_members[static_cast<std::size_t>(ref[s])];
+        ASSERT_TRUE(std::equal(mine.begin(), mine.end(), want.begin(), want.end()))
+            << topo.name() << " burst " << burst << " site " << s;
+      }
+    }
+  }
+}
+
+TEST(ComponentTracker, LinkLossWithACommonNeighbourSkipsTheRebuild) {
+  const net::Topology complete = net::make_fully_connected(6);
+  const net::LinkId l01 = complete.find_link(0, 1);
+  {  // A shared up neighbour keeps the endpoints joined: no rebuild.
+    LiveNetwork live(complete);
+    const ComponentTracker tracker(live);
+    const std::uint64_t rebuilds = tracker.stats().full_rebuilds;
+    live.set_link_up(l01, false);
+    EXPECT_EQ(tracker.component_count(), 1u);
+    EXPECT_EQ(tracker.component_size(0), 6u);
+    EXPECT_EQ(tracker.max_component_votes(), 6u);
+    EXPECT_TRUE(tracker.connected(0, 1));
+    EXPECT_EQ(tracker.stats().full_rebuilds, rebuilds);
+  }
+  {  // Every common neighbour down: the loss splits {0} from {1}.
+    LiveNetwork live(complete);
+    const ComponentTracker tracker(live);
+    for (net::SiteId s = 2; s < 6; ++s) live.set_site_up(s, false);
+    ASSERT_EQ(tracker.component_count(), 1u);
+    const std::uint64_t rebuilds = tracker.stats().full_rebuilds;
+    live.set_link_up(l01, false);
+    EXPECT_EQ(tracker.component_count(), 2u);
+    EXPECT_FALSE(tracker.connected(0, 1));
+    EXPECT_EQ(tracker.stats().full_rebuilds, rebuilds + 1);
+  }
+  const net::Topology ring = net::make_ring(10);
+  {  // Ring neighbours share no neighbour: the loss rebuilds.
+    LiveNetwork live(ring);
+    const ComponentTracker tracker(live);
+    const std::uint64_t rebuilds = tracker.stats().full_rebuilds;
+    live.set_link_up(ring.find_link(3, 4), false);
+    EXPECT_EQ(tracker.component_count(), 1u);
+    EXPECT_EQ(tracker.stats().full_rebuilds, rebuilds + 1);
+  }
+  {  // A link to a down site carried nothing: no rebuild.
+    LiveNetwork live(ring);
+    const ComponentTracker tracker(live);
+    live.set_site_up(5, false);
+    ASSERT_EQ(tracker.component_size(0), 9u);
+    const std::uint64_t rebuilds = tracker.stats().full_rebuilds;
+    live.set_link_up(ring.find_link(4, 5), false);
+    EXPECT_EQ(tracker.component_count(), 1u);
+    EXPECT_EQ(tracker.component_size(4), 9u);
+    EXPECT_EQ(tracker.stats().full_rebuilds, rebuilds);
   }
 }
 

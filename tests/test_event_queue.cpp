@@ -32,6 +32,17 @@ std::vector<sim::Event> drain(Queue& q) {
   return out;
 }
 
+std::vector<std::uint64_t> sorted_seqs(std::span<const sim::Event> events) {
+  std::vector<std::uint64_t> seqs;
+  for (const sim::Event& e : events) seqs.push_back(e.seq);
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+std::vector<std::uint64_t> pending_seqs(const Queue& q) {
+  return sorted_seqs(q.pending());
+}
+
 void expect_same_events(const std::vector<sim::Event>& a,
                         const std::vector<sim::Event>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -175,11 +186,75 @@ TEST(EventQueue, RandomOpsMatchSortedReference) {
       ASSERT_EQ(q.remove_if(pred), expected) << "step " << step;
     }
     ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
     if (!ref.empty()) {
       ASSERT_EQ(q.top().seq, ref.front().seq) << "step " << step;
+      ASSERT_EQ(q.top().index, ref.front().index) << "step " << step;
     }
+    ASSERT_EQ(pending_seqs(q), sorted_seqs(ref)) << "step " << step;
   }
   expect_same_events(drain(q), ref);
+}
+
+TEST(EventQueue, SpentRootIsInvisible) {
+  // pop() leaves the root slot spent until the next push or pop; no
+  // observer may see it. `reference` holds the same events with the
+  // popped one removed by seq, so nothing of it is spent.
+  const auto fill = [](Queue& q) {
+    for (std::uint32_t i = 0; i < 30; ++i) q.push(at((i * 11) % 13, i));
+  };
+  Queue q;
+  fill(q);
+  const sim::Event popped = q.pop();
+  Queue reference;
+  fill(reference);
+  ASSERT_TRUE(reference.remove(popped.seq).has_value());
+
+  EXPECT_EQ(q.size(), reference.size());
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.top().seq, reference.top().seq);
+  EXPECT_EQ(pending_seqs(q), pending_seqs(reference));
+
+  // The model checker copies clusters, and so their queues, by value.
+  Queue copy = q;
+  Queue copy_reference = reference;
+  expect_same_events(drain(copy), drain(copy_reference));
+
+  q.push(at(5.5, 100));
+  reference.push(at(5.5, 100));
+  EXPECT_EQ(q.size(), reference.size());
+  expect_same_events(drain(q), drain(reference));
+
+  Queue single;
+  single.push(at(1.0, 1));
+  single.pop();
+  EXPECT_TRUE(single.empty());
+  EXPECT_EQ(single.size(), 0u);
+  EXPECT_TRUE(single.pending().empty());
+
+  // remove_if's predicate sees every pending event once and a spent root
+  // never: msg::Cluster's predicate frees slab slots as it goes.
+  for (const bool spent : {false, true}) {
+    Queue r;
+    Queue r_reference;
+    fill(r);
+    fill(r_reference);
+    if (spent) {
+      ASSERT_TRUE(r_reference.remove(r.pop().seq).has_value());
+    }
+    std::vector<std::uint64_t> seen;
+    const auto pred = [&seen](const sim::Event& e) {
+      seen.push_back(e.seq);
+      return e.index % 3 == 0;
+    };
+    const std::size_t removed = r.remove_if(pred);
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, pending_seqs(r_reference)) << "spent " << spent;
+    EXPECT_EQ(removed, r_reference.remove_if([](const sim::Event& e) {
+                return e.index % 3 == 0;
+              }));
+    expect_same_events(drain(r), drain(r_reference));
+  }
 }
 
 TEST(EventQueue, RemovingAnAbsentSeqChangesNothing) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "metrics/collectors.hpp"
 #include "metrics/experiment.hpp"
@@ -228,6 +231,43 @@ TEST(MeasureCurves, ParallelEqualsSerial) {
   EXPECT_EQ(serial.mean, parallel.mean);
   EXPECT_EQ(serial.r_pdf, parallel.r_pdf);
   EXPECT_EQ(serial.surv_pdf, parallel.surv_pdf);
+}
+
+TEST(MeasureCurves, PaperCurvesArePinned) {
+  // The paper's 101-site runs at reduced scale, pinned bit for bit. Unlike
+  // the golden transcripts, which query the tracker after every network
+  // event, measure_curves queries it only at accesses, so each refresh
+  // replays a window of several deltas. The digests were recorded with a
+  // tracker that rebuilt on every link loss and a queue that removed each
+  // root at pop.
+  struct Pin {
+    net::Topology topo;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {net::make_ring(101), 0x90e87654e0c6ca11ull},
+      {net::make_fully_connected(101), 0xd88168ff125fc551ull},
+      {net::make_ring_with_chords(101, 20), 0x9958776ae817855bull},
+  };
+  MeasurePolicy policy;
+  policy.seed = 12345;
+  policy.threads = 2;
+  policy.batch.min_batches = 8;
+  policy.batch.max_batches = 8;
+  for (const Pin& pin : pins) {
+    const CurveResult r = measure_curves(pin.topo, tiny_config(), policy);
+    ASSERT_EQ(r.batches, 8u);
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a, one word per step
+    const auto fold = [&h](double x) {
+      h ^= std::bit_cast<std::uint64_t>(x);
+      h *= 1099511628211ull;
+    };
+    for (const std::vector<double>& row : r.mean)
+      for (const double x : row) fold(x);
+    for (const std::vector<double>& row : r.half_width)
+      for (const double x : row) fold(x);
+    EXPECT_EQ(h, pin.digest) << pin.topo.name() << std::hex << " digest 0x" << h;
+  }
 }
 
 TEST(MeasureCurves, AdaptiveBatchesStopEarlyWhenTight) {

@@ -160,9 +160,12 @@ CaseResult bench_event_queue(const Options& opt) {
   });
 }
 
-// Item counts are sized per topology by measured per-op cost (roughly
-// half the flips trigger a full rebuild) so every case finishes in well
-// under ~15 s of full-mode wall clock; see the call sites.
+// Item counts are sized per topology by measured per-op cost so every
+// case finishes in well under ~15 s of full-mode wall clock; see the call
+// sites. About half the flips lose a link, and a loss rebuilds unless its
+// endpoints share an up neighbour in the dense adjacency rows: almost
+// never on the complete cases, on every loss elsewhere (ring neighbours
+// share none, and the grid and geo cases keep no dense rows).
 CaseResult bench_tracker(const Options& opt, const std::string& name,
                          const net::Topology& topo, std::uint64_t items_full,
                          std::uint64_t items_quick) {
@@ -316,7 +319,9 @@ int run_alloc_check(const Options& opt) {
   {
     // Dense word-parallel rebuild path (101 complete sites stay within
     // kDenseAdjacencyMaxSites) plus the member_words packed-bitset query:
-    // both must live inside the ctor-reserved word buffers.
+    // both must live inside the ctor-reserved word buffers. A lost link
+    // there almost always has a shared neighbour and is absorbed, so a
+    // site toggle every fourth step keeps the rebuild path running.
     const auto topo = net::make_fully_connected(101);
     conn::LiveNetwork live(topo);
     conn::ComponentTracker tracker(live);
@@ -327,6 +332,11 @@ int run_alloc_check(const Options& opt) {
         const auto link =
             static_cast<net::LinkId>(rng::uniform_index(gen, topo.link_count()));
         live.set_link_up(link, !live.is_link_up(link));
+        if (i % 4 == 0) {
+          const auto site =
+              static_cast<net::SiteId>(rng::uniform_index(gen, topo.site_count()));
+          live.set_site_up(site, !live.is_site_up(site));
+        }
         sink += tracker.component_votes(0);
         sink += tracker.member_words(0).front();
       }
