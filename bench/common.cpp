@@ -1,7 +1,5 @@
 #include "common.hpp"
 
-#include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -32,7 +30,6 @@ namespace {
       << "  --stride N         q_r row stride in printed tables (default 7)\n"
       << "  --csv PATH         also write the full series as CSV\n"
       << "  --svg PATH         also render the figure as an SVG plot\n"
-      << "  --json PATH        also write figure timings (quora-bench/1 schema)\n"
       << "  --trace PATH       record a structured event trace of the stream-0 batch\n"
       << "                     (.json => Chrome trace_event, else compact text)\n"
       << "  --metrics PATH     dump the metrics registry (all batches, all figures)\n"
@@ -71,59 +68,11 @@ double parse_fraction(const char* prog, std::string_view flag,
   bad_value(prog, flag, value, expected);
 }
 
-/// Append one case to a quora-bench/1 JSON report, creating the file (and
-/// re-writing prior cases) on each call so partially-finished multi-figure
-/// runs still leave a valid document behind.
-struct JsonReport {
-  struct Case {
-    std::string name;
-    std::uint64_t items = 0;
-    double wall_s = 0.0;
-  };
-  std::vector<Case> cases;
-
-  void write(const std::string& path, std::uint64_t seed) const {
-    std::ofstream out(path);
-    out << "{\n  \"schema\": \"quora-bench/1\",\n"
-        << "  \"revision\": \"\",\n  \"mode\": \"figure\",\n"
-        << "  \"seed\": " << seed << ",\n  \"cases\": [";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const Case& c = cases[i];
-      const double ns =
-          c.items > 0 ? c.wall_s * 1e9 / static_cast<double>(c.items) : 0.0;
-      const double ops = c.wall_s > 0.0
-                             ? static_cast<double>(c.items) / c.wall_s
-                             : 0.0;
-      out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << c.name
-          << "\", \"items\": " << c.items << ", \"wall_s\": " << c.wall_s
-          << ", \"ns_per_op\": " << ns << ", \"ops_per_sec\": " << ops << "}";
-    }
-    out << "\n  ]\n}\n";
-  }
-};
-
-JsonReport g_json_report;
-
 // Observability sinks shared across every figure a binary runs: the
 // registry accumulates, the trace ring keeps the most recent window.
 // Created on first use so unflagged runs pay nothing.
 std::optional<obs::Registry> g_obs_registry;
 std::optional<obs::TraceRecorder> g_obs_trace;
-
-/// Figure titles become case names: lowercase, punctuation to '-'.
-std::string slugify(const std::string& title) {
-  std::string slug;
-  for (const char ch : title) {
-    const auto c = static_cast<unsigned char>(ch);
-    if (std::isalnum(c)) {
-      slug.push_back(static_cast<char>(std::tolower(c)));
-    } else if (!slug.empty() && slug.back() != '-') {
-      slug.push_back('-');
-    }
-  }
-  while (!slug.empty() && slug.back() == '-') slug.pop_back();
-  return slug;
-}
 
 } // namespace
 
@@ -178,8 +127,6 @@ RunScale parse_args(int argc, char** argv) {
       scale.csv_path = std::string(need_value(i));
     } else if (arg == "--svg") {
       scale.svg_path = std::string(need_value(i));
-    } else if (arg == "--json") {
-      scale.json_path = std::string(need_value(i));
     } else if (arg == "--trace") {
       scale.trace_path = std::string(need_value(i));
     } else if (arg == "--metrics") {
@@ -237,21 +184,8 @@ metrics::CurveResult run_figure(const net::Topology& topo, const std::string& ti
     if (!g_obs_trace) g_obs_trace.emplace();
     policy.trace = &*g_obs_trace;
   }
-  const auto t0 = std::chrono::steady_clock::now();
   const metrics::CurveResult result =
       metrics::measure_curves(topo, to_config(scale), policy);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (scale.json_path) {
-    // One case per figure; items = measured accesses (warm-up excluded),
-    // so ns_per_op is directly comparable across scale settings.
-    g_json_report.cases.push_back(JsonReport::Case{
-        slugify(title),
-        static_cast<std::uint64_t>(result.batches) * scale.batch, wall_s});
-    g_json_report.write(*scale.json_path, scale.seed);
-    std::cout << "json written to " << *scale.json_path << '\n';
-  }
   report::print_curve_table(std::cout, result, scale.stride);
   if (scale.csv_path) {
     std::ofstream out(*scale.csv_path);
@@ -264,8 +198,8 @@ metrics::CurveResult run_figure(const net::Topology& topo, const std::string& ti
     report::write_curve_svg_file(*scale.svg_path, result, svg);
     std::cout << "svg written to " << *scale.svg_path << '\n';
   }
-  // Rewritten after every figure, like the JSON report, so an interrupted
-  // multi-figure run still leaves valid files behind.
+  // Rewritten after every figure, so an interrupted multi-figure run
+  // still leaves valid files behind.
   if (scale.metrics_path) {
     obs::write_metrics_file(*g_obs_registry, *scale.metrics_path);
     std::cout << "metrics written to " << *scale.metrics_path << '\n';

@@ -29,10 +29,6 @@ struct RunScale {
   unsigned stride = 7;   // q_r row thinning in printed tables
   std::optional<std::string> csv_path;
   std::optional<std::string> svg_path;
-  /// When set, run_figure also appends a timing record for the figure to
-  /// this file, in the same "quora-bench/1" JSON schema tools/quora_bench
-  /// emits, so scripts/bench_compare.py can diff experiment runs too.
-  std::optional<std::string> json_path;
   /// Observability outputs (docs/OBSERVABILITY.md). `--trace PATH`
   /// records the stream-0 batch simulator's structured event trace
   /// (Chrome trace_event JSON when PATH ends in .json, the compact text
@@ -44,8 +40,8 @@ struct RunScale {
 };
 
 /// Parses --paper, --warmup, --batch, --min-batches, --max-batches, --ci,
-/// --seed, --threads, --stride, --csv PATH, --svg PATH, --json PATH,
-/// --trace PATH, --metrics PATH, --help. Exits on --help or a bad flag.
+/// --seed, --threads, --stride, --csv PATH, --svg PATH, --trace PATH,
+/// --metrics PATH, --help. Exits on --help or a bad flag.
 /// Numeric flags are validated strictly (full-string parse, range checks)
 /// with a clear diagnostic — a typo'd `--batch 40k` aborts instead of
 /// silently truncating.

@@ -24,8 +24,7 @@ magnitude cliffs.
 Exit status: 0 when no case regresses (or --warn-only), 1 when at least
 one does, 2 on usage or schema errors.
 
-The reports come from `quora_bench --json` (and `bench/* --json`, which
-emits the same "quora-bench/1" schema); see docs/PERFORMANCE.md.
+The reports come from `quora_bench --json`; see docs/PERFORMANCE.md.
 """
 
 import argparse

@@ -84,9 +84,9 @@ for b in "${FIGURES[@]}" "${TABLES[@]}" "${ABLATIONS[@]}"; do
   run "$b" "${SCALE_ARGS[@]}" | tee -a "$OUT_DIR/report.txt"
 done
 
-echo "== perf_microbench (fixed small budget)"
-"$BENCH_DIR/perf_microbench" --benchmark_min_time=0.05 \
-  | tee "$OUT_DIR/perf_microbench.txt" | tee -a "$OUT_DIR/report.txt"
+echo "== quora_bench --quick (pinned perf cases, CI-sized)"
+"$BENCH_DIR/../tools/quora_bench" --quick \
+  | tee "$OUT_DIR/quora_bench.txt" | tee -a "$OUT_DIR/report.txt"
 
 echo
 echo "all outputs in $OUT_DIR/ — compare against EXPERIMENTS.md"

@@ -11,9 +11,8 @@ ComponentTracker::ComponentTracker(const LiveNetwork& live) : live_(&live) {
   const auto n = live.topology().site_count();
   // Reserve once so steady-state refreshes never touch the allocator.
   // Incremental site recoveries append fresh labels, at most one per
-  // journal slot between rebuilds, hence the extra headroom (sized by the
-  // network's configured journal, not the default).
-  const std::size_t max_labels = n + live.journal_capacity();
+  // journal slot between rebuilds, hence the extra headroom.
+  const std::size_t max_labels = n + LiveNetwork::kJournalCapacity;
   label_.reserve(n);
   parent_.reserve(max_labels);
   comp_votes_.reserve(max_labels);
@@ -121,7 +120,7 @@ void ComponentTracker::set_metrics(obs::Registry* registry) {
 
 void ComponentTracker::sync_slow() const {
   const std::uint64_t target = live_->version();
-  if (target - cached_version_ > live_->journal_capacity()) {
+  if (target - cached_version_ > LiveNetwork::kJournalCapacity) {
     // Fell behind the ring journal; the missed deltas are gone.
     rebuild();
     return;

@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 namespace quora::conn {
 
-LiveNetwork::LiveNetwork(const net::Topology& topo,
-                         std::uint64_t journal_capacity)
+LiveNetwork::LiveNetwork(const net::Topology& topo)
     : topo_(&topo),
       site_up_(topo.site_count(), 1),
       link_up_(topo.link_count(), 1),
       site_words_(bits::word_count(topo.site_count()), 0),
-      up_sites_(topo.site_count()) {
-  if (journal_capacity < 2 || !std::has_single_bit(journal_capacity))
-    throw std::invalid_argument(
-        "LiveNetwork: journal capacity must be a power of two >= 2");
-  journal_mask_ = journal_capacity - 1;
-  journal_.assign(journal_capacity, Delta{});
-
+      up_sites_(topo.site_count()),
+      journal_(kJournalCapacity) {
   // All-up initial state: set bits [0, count) and leave tail bits zero —
   // consumers popcount whole words and must never see ghost elements.
   for (std::uint32_t s = 0; s < topo.site_count(); ++s)

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -37,7 +38,7 @@ namespace quora::conn {
 /// fall back to the CSR adjacency walk.
 ///
 /// Alongside the version counter, a ring journal records *what* each
-/// version bump changed. Consumers that fell at most `journal_capacity()`
+/// version bump changed. Consumers that fell at most `kJournalCapacity`
 /// versions behind can replay the deltas instead of re-deriving state from
 /// scratch — this is what lets the component tracker absorb recoveries,
 /// and link losses that split nothing, incrementally and rebuild only on
@@ -58,23 +59,21 @@ public:
     DeltaKind kind = DeltaKind::kBulk;
     std::uint32_t index = 0;  // site or link id; unused for kBulk
   };
-  /// Default ring capacity of the delta journal. Must comfortably exceed
-  /// the number of network events a consumer can fall behind by between
-  /// queries; the simulator queries at access frequency, which the paper's
-  /// rho = 1/128 keeps within a handful of events. Large chaos sweeps that
-  /// batch more mutations between queries can raise the capacity at
-  /// construction instead of eating a full rebuild per batch.
+  /// Ring capacity of the delta journal, a power of two so a version
+  /// masks to its slot. Must comfortably exceed the number of network
+  /// events a consumer can fall behind by between queries; the simulator
+  /// queries at access frequency, which the paper's rho = 1/128 keeps
+  /// within a handful of events. A consumer that falls further behind
+  /// re-derives its state from scratch.
   static constexpr std::uint64_t kJournalCapacity = 256;
+  static_assert(std::has_single_bit(kJournalCapacity));
 
   /// Site-count ceiling for the dense masked adjacency rows. At this size
   /// the rows cost 2 * 4096^2 bits = 4 MiB; beyond it the quadratic layout
   /// loses to the CSR walk in both memory and rebuild time.
   static constexpr std::uint32_t kDenseAdjacencyMaxSites = 4096;
 
-  /// `journal_capacity` must be a power of two >= 2 (ring-mask indexing);
-  /// throws std::invalid_argument otherwise.
-  explicit LiveNetwork(const net::Topology& topo,
-                       std::uint64_t journal_capacity = kJournalCapacity);
+  explicit LiveNetwork(const net::Topology& topo);
 
   const net::Topology& topology() const noexcept { return *topo_; }
 
@@ -128,20 +127,20 @@ public:
   /// Monotone counter, bumped by every effective state change.
   std::uint64_t version() const noexcept { return version_; }
 
-  /// Ring capacity of the delta journal (fixed at construction).
-  std::uint64_t journal_capacity() const noexcept { return journal_mask_ + 1; }
+  /// Ring capacity of the delta journal, the same for every network.
+  std::uint64_t journal_capacity() const noexcept { return kJournalCapacity; }
 
   /// The delta that moved `version - 1` to `version`. Only meaningful for
-  /// versions in (version() - journal_capacity(), version()]; older slots
+  /// versions in (version() - kJournalCapacity, version()]; older slots
   /// have been overwritten.
   Delta delta(std::uint64_t version) const noexcept {
-    return journal_[version & journal_mask_];
+    return journal_[version & kJournalMask];
   }
 
 private:
   void journal(DeltaKind kind, std::uint32_t index) noexcept {
     ++version_;
-    journal_[version_ & journal_mask_] = Delta{kind, index};
+    journal_[version_ & kJournalMask] = Delta{kind, index};
   }
   void set_word_bit(std::vector<bits::Word>& words, std::uint32_t i,
                     bool on) noexcept {
@@ -161,7 +160,7 @@ private:
   std::vector<bits::Word> topo_rows_;  // static topology rows, for resets
   std::uint32_t up_sites_ = 0;
   std::uint64_t version_ = 0;
-  std::uint64_t journal_mask_;
+  static constexpr std::uint64_t kJournalMask = kJournalCapacity - 1;
   std::vector<Delta> journal_;
 };
 

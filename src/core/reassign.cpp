@@ -80,7 +80,6 @@ bool QuorumReassignment::try_install(const conn::ComponentTracker& tracker,
     stored_[s] = installed;
   }
   if (installed.version > latest_version_) latest_version_ = installed.version;
-  ++epoch_;
   QUORA_METRIC_ADD(obs_installs_, 1);
   QUORA_TRACE(trace_, obs::EventKind::kQrInstall, origin, installed.version,
               pack_spec(next));
@@ -104,7 +103,6 @@ bool QuorumReassignment::adopt(net::SiteId s, const Assignment& a) {
   // the system-wide latest version is untouched by construction.
   QUORA_INVARIANT(a.version <= latest_version_,
                   "adopted a QR version newer than any install");
-  ++epoch_;
   QUORA_METRIC_ADD(obs_adopts_, 1);
   QUORA_TRACE(trace_, obs::EventKind::kQrAdopt, s, a.version,
               pack_spec(a.spec));
@@ -112,7 +110,6 @@ bool QuorumReassignment::adopt(net::SiteId s, const Assignment& a) {
 }
 
 void QuorumReassignment::propagate(const conn::ComponentTracker& tracker) {
-  bool changed = false;
   const auto count = static_cast<std::int32_t>(tracker.component_count());
   for (std::int32_t comp = 0; comp < count; ++comp) {
     const auto members = tracker.members(comp);
@@ -124,13 +121,9 @@ void QuorumReassignment::propagate(const conn::ComponentTracker& tracker) {
       // Propagation only ever moves versions forward (§2.2 monotonicity).
       QUORA_ASSERT(best.version >= stored_[s].version,
                    "propagate would overwrite a newer assignment");
-      if (stored_[s].version != best.version) {
-        stored_[s] = best;
-        changed = true;
-      }
+      if (stored_[s].version != best.version) stored_[s] = best;
     }
   }
-  if (changed) ++epoch_;
 }
 
 void propagate_and_sync(QuorumReassignment& qr, quorum::ReplicatedStore& store,

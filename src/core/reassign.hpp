@@ -79,13 +79,6 @@ public:
   /// Version of the most recently installed assignment, system-wide.
   std::uint64_t latest_version() const noexcept { return latest_version_; }
 
-  /// Mutation counter: bumped whenever any site's stored assignment
-  /// changes (install, adopt, or propagate). Unlike `latest_version()`,
-  /// which gossip does not move, this invalidates caches of *any* derived
-  /// per-site state — `msg::Cluster` keys its effective-assignment cache
-  /// on it.
-  std::uint64_t epoch() const noexcept { return epoch_; }
-
   const Assignment& stored(net::SiteId s) const { return stored_.at(s); }
   net::Vote total_votes() const noexcept { return total_; }
 
@@ -101,7 +94,6 @@ private:
   net::Vote total_;
   std::vector<Assignment> stored_;
   std::uint64_t latest_version_ = 1;
-  std::uint64_t epoch_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
   obs::Counter obs_installs_;
   obs::Counter obs_adopts_;

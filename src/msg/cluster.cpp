@@ -110,7 +110,6 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
   }
   copies_.assign(topo.site_count(), Copy{});
   leases_.assign(topo.site_count(), Lease{});
-  oracle_cache_.assign(topo.site_count(), OracleEntry{});
   pending_.resize(topo.site_count());
   floods_.resize(topo.site_count());
   fifo_clock_.assign(2 * static_cast<std::size_t>(topo.link_count()), 0.0);
@@ -410,17 +409,9 @@ void Cluster::submit_access(net::SiteId origin, bool is_read) {
               is_read ? std::uint8_t{1} : std::uint8_t{0});
 
   // Oracle: the paper's instantaneous decision from global state, under
-  // the assignment in effect for origin's component (§2.2). Memoized per
-  // site against the (network version, QR epoch) pair — see OracleEntry.
-  OracleEntry& oc = oracle_cache_[origin];
-  if (oc.net_version != live_.version() || oc.qr_epoch != qr_.epoch()) {
-    oc.votes = tracker_.component_votes(origin);
-    oc.assign = qr_.effective(tracker_, origin);
-    oc.net_version = live_.version();
-    oc.qr_epoch = qr_.epoch();
-  }
-  const net::Vote oracle_votes = oc.votes;
-  const quorum::QuorumSpec oracle_spec = oc.assign.spec;
+  // the assignment in effect for origin's component (§2.2).
+  const net::Vote oracle_votes = tracker_.component_votes(origin);
+  const quorum::QuorumSpec oracle_spec = qr_.effective(tracker_, origin).spec;
   const bool oracle = is_read ? oracle_spec.allows_read(oracle_votes)
                               : oracle_spec.allows_write(oracle_votes);
 
@@ -615,7 +606,6 @@ void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
 void Cluster::record_outcome(const AccessOutcome& out,
                              [[maybe_unused]] std::uint64_t request) {
   outcomes_.push_back(out);
-  ++decided_;
   if (out.granted) {
     QUORA_METRIC_ADD(obs_grants_, 1);
     QUORA_TRACE(trace_, obs::EventKind::kAccessGrant, out.origin, request,
@@ -1147,8 +1137,8 @@ void Cluster::handle_adapt_epoch() {
 }
 
 void Cluster::run_decided_accesses(std::uint64_t count) {
-  const std::uint64_t target = decided_ + count;
-  while (decided_ < target) {
+  const std::size_t target = outcomes_.size() + count;
+  while (outcomes_.size() < target) {
     const Event e = queue_.pop();
     now_ = e.time;
     step(e);

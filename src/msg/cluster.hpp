@@ -379,18 +379,6 @@ private:
     bool held(double now) const { return request != 0 && now < expiry; }
   };
 
-  // Per-site cache of the oracle inputs (reachable votes + effective QR
-  // assignment). `effective()` walks the whole component, so recomputing
-  // it for every access dominates the access path on dense topologies;
-  // the pair (network version, QR epoch) keys precisely the state the
-  // answer depends on, making this a behaviour-preserving memo.
-  struct OracleEntry {
-    std::uint64_t net_version = ~std::uint64_t{0};  // miss on first use
-    std::uint64_t qr_epoch = ~std::uint64_t{0};
-    net::Vote votes = 0;
-    core::QuorumReassignment::Assignment assign{};
-  };
-
   // Event plumbing (kinds beyond sim::EventKind: deliveries and timers).
   enum class Kind : std::uint8_t {
     kSiteFail,
@@ -558,7 +546,6 @@ private:
 
   QUORA_SHARD_LOCAL(msg) std::vector<Copy> copies_;
   QUORA_SHARD_LOCAL(msg) std::vector<Lease> leases_;
-  QUORA_SHARD_LOCAL(msg) std::vector<OracleEntry> oracle_cache_;                   // per site
   QUORA_SHARD_LOCAL(msg) std::vector<Coordinations> pending_;   // per site
   QUORA_SHARD_LOCAL(msg) std::vector<FloodWindow> floods_;       // per site
   QUORA_SHARD_LOCAL(msg) std::vector<double> fifo_clock_;  // per directed link
@@ -568,7 +555,6 @@ private:
   /// oracle's component view) still sees the link as up: a gray failure.
   QUORA_SHARD_LOCAL(msg) std::vector<char> dir_blocked_;
   std::uint64_t next_request_ = 1;
-  std::uint64_t decided_ = 0;
 
   std::vector<AccessOutcome> outcomes_;
   std::vector<CommitRecord> commits_;

@@ -12,12 +12,15 @@ Runs, and loads each output with json.loads:
   - quora_chaos --sweep --seeds 1 --report FILE on geo_region_outage.chaos
     and --race --seeds 1 --report FILE on adaptive_drift_race.chaos;
   - quora_lint --all-scopes --json=FILE --sarif FILE over the lint
-    fixtures.
+    fixtures;
+  - quora_bench --quick --json FILE with a --rev label that holds a
+    quote and a 0x01 byte.
 
 ctest runs this as check-json-artifacts (see tests/CMakeLists.txt).
 Standalone, from any directory:
 
-  python3 tests/check_json_artifacts.py SOURCE_DIR QUORA_CHECK QUORA_CHAOS QUORA_LINT
+  python3 tests/check_json_artifacts.py SOURCE_DIR QUORA_CHECK QUORA_CHAOS \
+      QUORA_LINT QUORA_BENCH
 """
 
 import json
@@ -67,10 +70,10 @@ def check_config(quora_check, source, path, expect, scratch):
 
 
 def main(argv):
-    if len(argv) != 5:
+    if len(argv) != 6:
         print(__doc__, file=sys.stderr)
         return 2
-    source, quora_check, quora_chaos, quora_lint = argv[1:]
+    source, quora_check, quora_chaos, quora_lint, quora_bench = argv[1:]
     failures = 0
     checked = 0
     with tempfile.TemporaryDirectory() as scratch:
@@ -117,6 +120,15 @@ def main(argv):
         else:
             failures += not load_file(lint_json, "quora_lint --json")
             failures += not load_file(lint_sarif, "quora_lint --sarif")
+        checked += 1
+
+        bench_json = os.path.join(scratch, "bench.json")
+        cmd = [quora_bench, "--quick", "--rev", 'x"y\x01z', "--json",
+               bench_json]
+        if run(cmd, source, {0}) is None:
+            failures += 1
+        else:
+            failures += not load_file(bench_json, "quora_bench --json")
         checked += 1
 
     print(f"check_json_artifacts: {checked} runs, {failures} failure(s)")

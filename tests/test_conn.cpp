@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "conn/bitwords.hpp"
@@ -412,39 +411,50 @@ TEST(LiveNetwork, LargeTopologySkipsDenseRows) {
 }
 
 TEST(LiveNetwork, JournalCapacityConfigurable) {
+  // Every network journals into the same kJournalCapacity-slot ring, and
+  // the last kJournalCapacity deltas read back in order.
   const net::Topology topo = net::make_ring(5);
-  const LiveNetwork dflt(topo);
-  EXPECT_EQ(dflt.journal_capacity(), LiveNetwork::kJournalCapacity);
+  LiveNetwork live(topo);
+  EXPECT_EQ(live.journal_capacity(), LiveNetwork::kJournalCapacity);
 
-  const LiveNetwork wide(topo, 1024);
-  EXPECT_EQ(wide.journal_capacity(), 1024u);
-
-  EXPECT_THROW(LiveNetwork(topo, 0), std::invalid_argument);
-  EXPECT_THROW(LiveNetwork(topo, 1), std::invalid_argument);
-  EXPECT_THROW(LiveNetwork(topo, 24), std::invalid_argument);
+  const std::uint64_t flips = LiveNetwork::kJournalCapacity + 3;
+  for (std::uint64_t i = 0; i < flips; ++i) live.set_link_up(0, i % 2 == 1);
+  ASSERT_EQ(live.version(), flips);
+  for (std::uint64_t v = flips - LiveNetwork::kJournalCapacity + 1; v <= flips;
+       ++v) {
+    const LiveNetwork::Delta d = live.delta(v);
+    EXPECT_EQ(d.kind, v % 2 == 1 ? LiveNetwork::DeltaKind::kLinkDown
+                                 : LiveNetwork::DeltaKind::kLinkUp)
+        << "version " << v;
+    EXPECT_EQ(d.index, 0u);
+  }
 }
 
 TEST(ComponentTracker, JournalOverflowFallsBackToRebuild) {
-  // With a 4-slot journal, replaying 6 recoveries is impossible (the
-  // oldest deltas were overwritten) and the tracker must detect the
-  // overflow and rebuild; with an 8-slot journal the same batch is
-  // absorbed incrementally. Same event sequence, different capacity.
+  // Toggles of a link whose endpoint is down are absorbable deltas: a
+  // tracker kJournalCapacity versions behind replays them all without a
+  // rebuild, and one more delta overwrites the oldest it needs and forces
+  // exactly one.
   const net::Topology topo = net::make_ring(12);
-  for (const std::uint64_t capacity : {4ull, 8ull}) {
-    LiveNetwork live(topo, capacity);
+  const net::LinkId link = topo.find_link(0, 1);
+  for (const std::uint64_t toggles :
+       {LiveNetwork::kJournalCapacity, LiveNetwork::kJournalCapacity + 1}) {
+    LiveNetwork live(topo);
     ComponentTracker tracker(live);
-    for (net::SiteId s = 0; s < 6; ++s) live.set_site_up(s, false);
-    ASSERT_EQ(tracker.component_count(), 1u);  // sites 6..11 still chained
+    live.set_site_up(0, false);
+    ASSERT_EQ(tracker.component_count(), 1u);  // sites 1..11 still chained
     const std::uint64_t rebuilds0 = tracker.stats().full_rebuilds;
 
-    for (net::SiteId s = 0; s < 6; ++s) live.set_site_up(s, true);
+    for (std::uint64_t i = 0; i < toggles; ++i) {
+      live.set_link_up(link, !live.is_link_up(link));
+    }
     EXPECT_EQ(tracker.component_count(), 1u);
-    EXPECT_EQ(tracker.component_size(0), 12u);
+    EXPECT_EQ(tracker.component_size(1), 11u);
     const std::uint64_t rebuilds = tracker.stats().full_rebuilds - rebuilds0;
-    if (capacity == 4) {
-      EXPECT_EQ(rebuilds, 1u) << "overflow must force exactly one rebuild";
+    if (toggles == LiveNetwork::kJournalCapacity) {
+      EXPECT_EQ(rebuilds, 0u) << "a full journal still replays";
     } else {
-      EXPECT_EQ(rebuilds, 0u) << "a sufficient journal absorbs recoveries";
+      EXPECT_EQ(rebuilds, 1u) << "overflow must force exactly one rebuild";
     }
   }
 }

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "msg/cluster.hpp"
 #include "net/builders.hpp"
 
@@ -183,6 +186,40 @@ TEST(Cluster, PartitionDeniesMinorityCoordinators) {
   // lacked, but they must be rare.
   EXPECT_LT(static_cast<double>(conservative),
             0.01 * static_cast<double>(cluster.outcomes().size()));
+}
+
+TEST(Cluster, OracleFollowsAnInstallWithoutANetworkChange) {
+  // Between the two scripted writes at site 1 the network does not
+  // change, but a QR install does: the oracle must judge the second write
+  // under the installed (1, 5), not the (3, 3) it judged the first under.
+  const net::Topology topo = net::make_ring(5);
+  Cluster::Params p = reliable_params(5, 2);
+  p.spec = quorum::QuorumSpec{3, 3};
+  Cluster cluster(topo, p, 5);
+  fault::FaultPlan plan;
+  plan.partition(1.0, {{0, 1, 2}, {3, 4}})
+      .access(2.0, 1, /*is_read=*/false)
+      .reassign(3.0, 0, quorum::QuorumSpec{1, 5})  // 3 votes >= q_w = 3
+      .access(4.0, 1, /*is_read=*/false);
+  fault::FaultInjector injector(plan, 5);
+  cluster.attach_injector(&injector);
+  cluster.run_until(10.0);
+  ASSERT_EQ(cluster.installs().size(), 1u);
+
+  std::vector<AccessOutcome> scripted;
+  for (const AccessOutcome& o : cluster.outcomes()) {
+    if (o.origin == 1 && !o.is_read &&
+        (o.submit_time == 2.0 || o.submit_time == 4.0)) {
+      scripted.push_back(o);
+    }
+  }
+  std::sort(scripted.begin(), scripted.end(),
+            [](const AccessOutcome& a, const AccessOutcome& b) {
+              return a.submit_time < b.submit_time;
+            });
+  ASSERT_EQ(scripted.size(), 2u);
+  EXPECT_TRUE(scripted[0].oracle_granted) << "3 votes meet q_w = 3";
+  EXPECT_FALSE(scripted[1].oracle_granted) << "3 votes miss q_w = 5";
 }
 
 TEST(Cluster, SlowNetworkTimesOutInsteadOfHanging) {

@@ -4,21 +4,23 @@
 //   quora_bench --alloc-check [--quick] [--seed N]
 //
 // Runs a fixed-seed subset of the perf surface that the ROADMAP cares
-// about — event-queue churn, component-tracker refresh under link flips
-// (dense word-parallel path on the 101-site topologies, sparse CSR path
-// on the 50k/250k scale points, plus a 1M-site construct+rebuild
-// smoke), and two end-to-end simulation
-// workloads (topology 256 and topology 4949) — and emits
-// machine-readable numbers: ns/op, accesses/sec,
-// tracker rebuilds/sec, and heap allocations observed by a global
-// counting hook. scripts/bench_compare.py diffs two of these JSONs with
-// a regression threshold; docs/PERFORMANCE.md describes the schema and
-// how to refresh the checked-in baseline.
+// about and emits machine-readable numbers: ns/op, accesses/sec, tracker
+// rebuilds/sec, and heap allocations observed by a global counting hook.
+// The cases are event-queue churn; component-tracker refresh under link
+// flips (dense word-parallel path on the 101-site topologies, sparse CSR
+// path on the 50k/250k scale points, plus a 1M-site construct+rebuild
+// smoke); two end-to-end simulation workloads (topology 256 and topology
+// 4949); and single calls of the layers around them: alias sampling, the
+// three optimizers and the two closed-form densities on 101 sites, the
+// replicated and witness stores, the coterie engine and a two-object
+// database transaction. scripts/bench_compare.py diffs two of these
+// JSONs with a regression threshold; docs/PERFORMANCE.md describes the
+// schema and how to refresh the checked-in baseline.
 //
 // The workloads are pinned (fixed seeds, fixed iteration counts per
 // mode) so two runs of the same binary do identical work and two
 // binaries at different revisions are comparable op-for-op. `--quick`
-// shrinks every case ~10-20x for CI smoke use; quick and full numbers
+// shrinks every case ~10-40x for CI smoke use; quick and full numbers
 // are not comparable to each other (the JSON records the mode).
 //
 // `--alloc-check` replaces the timing runs with a steady-state allocation
@@ -33,20 +35,31 @@
 // Exit status: 0 on success, 1 when --alloc-check observes an allocation,
 // 2 on usage or I/O errors.
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "conn/component_tracker.hpp"
 #include "conn/live_network.hpp"
+#include "core/component_dist.hpp"
+#include "core/optimize.hpp"
+#include "db/database.hpp"
+#include "io/cli_args.hpp"
+#include "io/config_audit.hpp"
 #include "net/builders.hpp"
+#include "quorum/coterie_protocol.hpp"
+#include "quorum/replicated_store.hpp"
+#include "quorum/witness_store.hpp"
+#include "rng/alias_table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "sim/event.hpp"
@@ -70,10 +83,26 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms as well (std::stable_sort's temporary buffer takes
+// one): a sanitizer runtime supplies its own, whose blocks must not reach
+// the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -83,7 +112,7 @@ using Clock = std::chrono::steady_clock;
 [[noreturn]] void usage(int code) {
   std::cerr << "usage: quora_bench [--quick] [--json PATH] [--rev NAME] [--seed N]\n"
                "       quora_bench --alloc-check [--quick] [--seed N]\n"
-               "  --quick        ~10-20x smaller pinned workloads (CI smoke)\n"
+               "  --quick        ~10-40x smaller pinned workloads (CI smoke)\n"
                "  --json PATH    write the machine-readable report to PATH\n"
                "  --rev NAME     revision label recorded in the report\n"
                "  --seed N       root seed (default 42; changes the workload!)\n"
@@ -164,8 +193,10 @@ CaseResult bench_event_queue(const Options& opt) {
 // case finishes in well under ~15 s of full-mode wall clock; see the call
 // sites. About half the flips lose a link, and a loss rebuilds unless its
 // endpoints share an up neighbour in the dense adjacency rows: almost
-// never on the complete cases, on every loss elsewhere (ring neighbours
-// share none, and the grid and geo cases keep no dense rows).
+// never on the complete cases; on every loss on ring-101 (ring neighbours
+// share none) and on the grid and geo cases (no dense rows); and on
+// Topology 256 whenever the lost link's endpoints share no up neighbour,
+// which keeps a timed case on the dense rebuild.
 CaseResult bench_tracker(const Options& opt, const std::string& name,
                          const net::Topology& topo, std::uint64_t items_full,
                          std::uint64_t items_quick) {
@@ -245,6 +276,107 @@ CaseResult bench_sim_e2e(const Options& opt, const std::string& name,
     if (probe.votes_seen == 0xffffffff) std::abort();
     r.rebuilds = static_cast<double>(sim.tracker().stats().full_rebuilds - rebuilds0);
   });
+}
+
+/// Times `items` calls of `call()` and folds what each returns into a
+/// sink, so no call can be optimized away. The caller builds the inputs,
+/// outside the measured region.
+template <typename Call>
+CaseResult bench_calls(const Options& opt, const std::string& name,
+                       std::uint64_t items_full, std::uint64_t items_quick,
+                       Call call) {
+  const std::uint64_t n = opt.quick ? items_quick : items_full;
+  return run_case(name, n, [&](std::uint64_t items, CaseResult&) {
+    std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < items; ++i) sink += call();
+    if (sink == ~std::uint64_t{0}) std::abort();
+  });
+}
+
+/// The layers around the simulator, one call per op: alias sampling over
+/// 101 and 4,096 weights, the three optimizers on the ring-101 closed-form
+/// curve at alpha = .75, the ring and complete-101 closed-form densities,
+/// a write-then-read round trip through the replicated and witness stores,
+/// one coterie decision and one two-object transaction.
+void bench_layer_calls(const Options& opt, std::vector<CaseResult>& cases) {
+  for (const std::size_t n : {std::size_t{101}, std::size_t{4096}}) {
+    std::vector<double> weights(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      weights[i] = static_cast<double>(i % 7 + 1);
+    }
+    const rng::AliasTable table(weights);
+    rng::Xoshiro256ss gen(opt.seed);
+    cases.push_back(bench_calls(opt, "alias_sample_" + std::to_string(n),
+                                60'000'000, 2'000'000,
+                                [&] { return std::uint64_t{table.sample(gen)}; }));
+  }
+
+  const core::AvailabilityCurve curve(core::ring_site_pdf(101, 0.96, 0.96));
+  cases.push_back(bench_calls(opt, "optimize_exhaustive_ring101", 2'000'000,
+                              50'000, [&] {
+    return std::uint64_t{core::optimize_exhaustive(curve, 0.75).spec.q_r};
+  }));
+  cases.push_back(bench_calls(opt, "optimize_golden_ring101", 3'000'000,
+                              100'000, [&] {
+    return std::uint64_t{core::optimize_golden(curve, 0.75).spec.q_r};
+  }));
+  cases.push_back(bench_calls(opt, "optimize_brent_ring101", 1'000'000,
+                              40'000, [&] {
+    return std::uint64_t{core::optimize_brent(curve, 0.75).spec.q_r};
+  }));
+
+  cases.push_back(bench_calls(opt, "ring_pdf101", 8'000, 300, [] {
+    return std::bit_cast<std::uint64_t>(core::ring_site_pdf(101, 0.96, 0.96).back());
+  }));
+  cases.push_back(bench_calls(opt, "complete_pdf101", 400, 20, [] {
+    return std::bit_cast<std::uint64_t>(
+        core::fully_connected_site_pdf(101, 0.96, 0.96).back());
+  }));
+
+  {
+    const auto topo = net::make_ring_with_chords(101, 16);
+    const conn::LiveNetwork live(topo);
+    const conn::ComponentTracker tracker(live);
+    const quorum::QuorumSpec spec = quorum::from_read_quorum(101, 40);
+    quorum::ReplicatedStore store(topo);
+    std::uint64_t v = 0;
+    cases.push_back(bench_calls(opt, "replicated_store_roundtrip", 3'000'000,
+                                150'000, [&] {
+      store.write(tracker, spec, 3, ++v);
+      return store.read(tracker, spec, 60).version;
+    }));
+    quorum::WitnessStore witness(topo, quorum::witness_mask_lowest_degree(topo, 50));
+    v = 0;
+    cases.push_back(bench_calls(opt, "witness_store_roundtrip", 3'000'000,
+                                100'000, [&] {
+      witness.write(tracker, spec, 3, ++v);
+      return witness.read(tracker, spec, 60).version;
+    }));
+  }
+  {
+    const auto topo = net::make_ring_with_chords(12, 2);
+    const conn::LiveNetwork live(topo);
+    const conn::ComponentTracker tracker(live);
+    const auto engine =
+        quorum::make_vote_coterie_protocol(topo, quorum::from_read_quorum(12, 4));
+    cases.push_back(bench_calls(opt, "coterie_decision", 15'000'000, 500'000, [&] {
+      return std::uint64_t{
+          engine.request(tracker, 5, quorum::AccessType::kRead).votes_collected};
+    }));
+  }
+  {
+    const auto topo = net::make_ring_with_chords(31, 4);
+    const conn::LiveNetwork live(topo);
+    const conn::ComponentTracker tracker(live);
+    db::Database database(topo, {{"a", quorum::from_read_quorum(31, 5)},
+                                 {"b", quorum::from_read_quorum(31, 12)}});
+    // Read object a, write object b.
+    std::array<db::Database::Op, 2> txn{{{0, false, 0}, {1, true, 0}}};
+    cases.push_back(bench_calls(opt, "database_txn", 8'000'000, 200'000, [&] {
+      ++txn[1].value;
+      return std::uint64_t{database.execute(tracker, 7, txn).committed};
+    }));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,13 +546,17 @@ void write_json(std::ostream& out, const Options& opt,
   out.precision(17);
   out << "{\n"
       << "  \"schema\": \"quora-bench/1\",\n"
-      << "  \"revision\": \"" << opt.revision << "\",\n"
+      << "  \"revision\": ";
+  io::write_json_string(out, opt.revision);
+  out << ",\n"
       << "  \"mode\": \"" << (opt.quick ? "quick" : "full") << "\",\n"
       << "  \"seed\": " << opt.seed << ",\n"
       << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& r = cases[i];
-    out << "    {\"name\": \"" << r.name << "\", \"items\": " << r.items
+    out << "    {\"name\": ";
+    io::write_json_string(out, r.name);
+    out << ", \"items\": " << r.items
         << ", \"wall_s\": " << r.wall_s << ", \"ns_per_op\": " << r.ns_per_op()
         << ", \"ops_per_sec\": " << r.ops_per_sec()
         << ", \"allocations\": " << r.allocations
@@ -459,10 +595,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--rev") {
       opt.revision = need_value();
     } else if (arg == "--seed") {
-      char* end = nullptr;
-      opt.seed = std::strtoull(need_value(), &end, 0);
-      if (end == nullptr || *end != '\0') {
-        std::cerr << "quora_bench: --seed expects an integer\n";
+      try {
+        opt.seed = io::parse_uint(need_value(), 0, ~std::uint64_t{0}, 0);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "quora_bench: --seed " << e.what() << '\n';
         usage(2);
       }
     } else if (arg == "--help" || arg == "-h") {
@@ -532,6 +668,12 @@ int main(int argc, char** argv) {
     const auto t4949 = net::make_fully_connected(101);
     cases.push_back(bench_sim_e2e(opt, "topology4949", t4949, 150'000, 10'000));
   }
+  {
+    // 101 sites and 357 links: dense rows, since 64 * 357 >= 101^2.
+    const auto t256 = net::make_ring_with_chords(101, 256);
+    cases.push_back(bench_tracker(opt, "topology256", t256, 2'000'000, 100'000));
+  }
+  bench_layer_calls(opt, cases);
   for (CaseResult& r : cases) {
     finish_rates(r);
     if (r.name.rfind("sim_e2e_", 0) == 0) r.accesses_per_sec = r.ops_per_sec();
