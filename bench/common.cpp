@@ -151,6 +151,19 @@ RunScale parse_args(int argc, char** argv) {
   return scale;
 }
 
+void parse_no_args(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << "usage: " << argv[0] << " (takes no options)\n";
+      std::exit(0);
+    }
+    std::cerr << argv[0] << ": unknown option " << arg << '\n'
+              << "usage: " << argv[0] << " (takes no options)\n";
+    std::exit(2);
+  }
+}
+
 sim::SimConfig to_config(const RunScale& scale) {
   sim::SimConfig config;
   config.warmup_accesses = scale.warmup;

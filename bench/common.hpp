@@ -47,6 +47,11 @@ struct RunScale {
 /// silently truncating.
 RunScale parse_args(int argc, char** argv);
 
+/// The command line of a binary that takes no options: `--help` or `-h`
+/// prints a one-line usage and exits 0; any other argument exits 2,
+/// naming it on stderr.
+void parse_no_args(int argc, char** argv);
+
 sim::SimConfig to_config(const RunScale& scale);
 metrics::MeasurePolicy to_policy(const RunScale& scale);
 

@@ -14,10 +14,11 @@
 #include "core/vote_opt.hpp"
 #include "report/table.hpp"
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using quora::core::AvailabilityCurve;
   using quora::report::TextTable;
 
+  quora::bench::parse_no_args(argc, argv);
   std::cout << "== Ahamad-Ammar model: optimal quorums without partitions ==\n\n";
 
   TextTable table({"n", "p", "alpha", "opt q_r (AA)", "A (AA)",

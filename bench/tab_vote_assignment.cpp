@@ -8,6 +8,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common.hpp"
 #include "core/vote_opt.hpp"
 #include "quorum/quorum_spec.hpp"
 #include "report/table.hpp"
@@ -24,9 +25,10 @@ std::string votes_string(const std::vector<quora::net::Vote>& votes) {
 
 } // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
   using quora::report::TextTable;
 
+  quora::bench::parse_no_args(argc, argv);
   std::cout << "== Optimal vote assignments, heterogeneous reliabilities ==\n\n";
 
   struct Scenario {

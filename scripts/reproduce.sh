@@ -17,7 +17,9 @@ usage: scripts/reproduce.sh [--paper] [BENCH_ARGS...]
 Runs every experiment in DESIGN.md §3 and collects the outputs in
 reproduce-out/. With no arguments a reduced-scale configuration runs in
 about a minute; --paper restores the paper's exact measurement protocol.
-Any extra arguments are forwarded verbatim to each bench binary.
+Any extra arguments are forwarded verbatim to each bench binary except
+the exact analytic sweeps tab_ahamad_ammar and tab_vote_assignment,
+which take none.
 
 Build first (CMakePresets.json defines the presets):
   cmake --preset release && cmake --build --preset release
@@ -60,9 +62,10 @@ mkdir -p "$OUT_DIR"
 FIGURES=(fig2_topology0 fig3_topology1 fig4_topology2 fig5_topology4
          fig6_topology16 fig7_topology256 fig7x_topology4949)
 TABLES=(tab_endpoints tab_read_write_ratio tab_write_constraint
-        tab_analytic_validation tab_surv_metric tab_ahamad_ammar
-        tab_vote_assignment tab_batch_diagnostics tab_multi_object
-        tab_witnesses tab_access_skew tab_message_level)
+        tab_analytic_validation tab_surv_metric tab_batch_diagnostics
+        tab_multi_object tab_witnesses tab_access_skew tab_message_level)
+# Exact analytic sweeps: they take no scale arguments and reject any.
+SWEEPS=(tab_ahamad_ammar tab_vote_assignment)
 ABLATIONS=(abl_estimator abl_optimizer abl_dynamic_qr abl_graduation
            abl_sensitivity abl_access_duration abl_protocol_survey)
 
@@ -82,6 +85,9 @@ run() {
 
 for b in "${FIGURES[@]}" "${TABLES[@]}" "${ABLATIONS[@]}"; do
   run "$b" "${SCALE_ARGS[@]}" | tee -a "$OUT_DIR/report.txt"
+done
+for b in "${SWEEPS[@]}"; do
+  run "$b" | tee -a "$OUT_DIR/report.txt"
 done
 
 echo "== quora_bench --quick (pinned perf cases, CI-sized)"

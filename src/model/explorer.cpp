@@ -111,18 +111,52 @@ std::vector<std::string> Violation::codes() const {
   return out;
 }
 
-struct Explorer::Transition {
-  Choice choice;            // kEvent: choice.event.seq is the live handle
-  std::uint64_t key = 0;    // sleep-set / covering identity (content hash)
-  net::SiteId site = 0;     // dependence site for kEvent
-  bool global = false;      // kSubmit / kFault: dependent with everything
-};
+void Explorer::VisitedSet::clear() {
+  slots_.assign(1024, Slot{});
+  used_ = 0;
+  sets_.clear();
+  keys_.clear();
+}
 
-struct Explorer::SleepEntry {
-  std::uint64_t key = 0;
-  net::SiteId site = 0;
-  bool global = false;
-};
+std::size_t Explorer::VisitedSet::find(const Fingerprint& fp) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(fp[0]) & mask;
+  while (slots_[i].newest != 0 && slots_[i].fp != fp) i = (i + 1) & mask;
+  return i;
+}
+
+bool Explorer::VisitedSet::covered(std::size_t slot,
+                                   std::span<const std::uint64_t> keys) const {
+  for (std::uint32_t s = slots_[slot].newest; s != 0; s = sets_[s - 1].older) {
+    const KeySet& set = sets_[s - 1];
+    const auto cached = keys_.begin() + static_cast<std::ptrdiff_t>(set.begin);
+    if (std::includes(keys.begin(), keys.end(), cached, cached + set.size)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Explorer::VisitedSet::add(std::size_t slot, const Fingerprint& fp,
+                               std::span<const std::uint64_t> keys) {
+  if (fresh(slot)) {
+    if (2 * (used_ + 1) > slots_.size()) {
+      std::vector<Slot> old(2 * slots_.size());
+      old.swap(slots_);
+      for (const Slot& o : old) {
+        if (o.newest != 0) slots_[find(o.fp)] = o;
+      }
+      slot = find(fp);
+    }
+    ++used_;
+    slots_[slot].fp = fp;
+  }
+  QUORA_PRECONDITION(sets_.size() < 0xFFFFFFFFu, "visited key sets overflow");
+  sets_.push_back(KeySet{keys_.size(), static_cast<std::uint32_t>(keys.size()),
+                         slots_[slot].newest});
+  keys_.insert(keys_.end(), keys.begin(), keys.end());
+  slots_[slot].newest = static_cast<std::uint32_t>(sets_.size());
+}
 
 Explorer::Explorer(const Scope& scope, Options opt)
     : scope_(&scope), opt_(opt) {
@@ -136,14 +170,15 @@ msg::Cluster Explorer::make_cluster() const {
   return Cluster(scope_->chaos.system->topology, params, /*seed=*/1);
 }
 
-std::vector<Explorer::Transition> Explorer::enabled_transitions(
-    const msg::Cluster& c, std::uint32_t submitted,
-    std::uint32_t faulted) const {
+void Explorer::enabled_transitions(const msg::Cluster& c,
+                                   std::uint32_t submitted,
+                                   std::uint32_t faulted,
+                                   std::vector<Transition>& out) const {
   // Submits and faults lead the list: DFS then tries the schedules that
   // interleave them early in the protocol first, which is where seeded
   // mutations bite — pure delivery permutations come after. Exhaustive
   // coverage does not depend on this order, only time-to-counterexample.
-  std::vector<Transition> out;
+  out.clear();
   for (std::uint32_t i = 0; i < scope_->accesses.size(); ++i) {
     if ((submitted >> i) & 1u) continue;
     Transition t;
@@ -177,7 +212,6 @@ std::vector<Explorer::Transition> Explorer::enabled_transitions(
     t.key = descriptor_key(t.choice);
     out.push_back(std::move(t));
   }
-  return out;
 }
 
 void Explorer::apply(msg::Cluster& c, const Transition& t,
@@ -205,24 +239,23 @@ void Explorer::apply(msg::Cluster& c, const Transition& t,
   }
 }
 
-std::vector<std::uint64_t> Explorer::stored_qr_versions(
-    const msg::Cluster& c) const {
+void Explorer::stored_qr_versions(const msg::Cluster& c,
+                                  std::vector<std::uint64_t>& out) const {
   const net::Topology& topo = scope_->chaos.system->topology;
-  std::vector<std::uint64_t> out(topo.site_count());
+  out.resize(topo.site_count());
   for (net::SiteId s = 0; s < topo.site_count(); ++s) {
     out[s] = c.reassignment().stored(s).version;
   }
-  return out;
 }
 
 std::optional<Violation> Explorer::check_state(
-    const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr) const {
+    const msg::Cluster& c, std::span<const std::uint64_t> prev_qr,
+    std::span<const std::uint64_t> cur_qr) const {
   Violation v;
   v.safety = msg::check_safety(c);
 
   // qr-monotonicity: §2.2 requires stored assignment versions to only
   // ever move forward; a decrease would resurrect a superseded quorum.
-  const std::vector<std::uint64_t> cur_qr = stored_qr_versions(c);
   for (std::size_t s = 0; s < cur_qr.size(); ++s) {
     if (cur_qr[s] < prev_qr[s]) {
       v.properties.push_back(PropertyViolation{
@@ -293,14 +326,16 @@ std::optional<Violation> Explorer::check_state(
   return v;
 }
 
-bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
-                   std::uint32_t faulted, std::vector<SleepEntry> sleep,
-                   std::uint64_t depth, std::vector<std::uint64_t> prev_qr,
-                   std::vector<Choice>& path) {
+bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
+  Frame& f = frames_[depth];
+  const msg::Cluster& cur = *f.cluster;
   ++stats_.explored;
-  stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth);
+  stats_.max_depth_seen = std::max<std::uint64_t>(stats_.max_depth_seen, depth);
 
-  if (std::optional<Violation> v = check_state(cur, prev_qr)) {
+  stored_qr_versions(cur, f.qr);
+  const std::vector<std::uint64_t>& prev_qr =
+      depth == 0 ? f.qr : frames_[depth - 1].qr;
+  if (std::optional<Violation> v = check_state(cur, prev_qr, f.qr)) {
     v->trace = path;
     found_ = std::move(v);
     return true;
@@ -309,86 +344,68 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
   // Visited set with the DPOR covering rule: a fingerprint revisited
   // under sleep set S is pruned only if it was already explored under
   // some S' ⊆ S — then everything S would allow was already tried.
-  std::vector<std::uint64_t> sleep_keys;
-  sleep_keys.reserve(sleep.size());
-  for (const SleepEntry& z : sleep) sleep_keys.push_back(z.key);
-  std::sort(sleep_keys.begin(), sleep_keys.end());
-  {
-    std::vector<std::uint64_t> words;
-    words.reserve(512);
-    cur.model_serialize(words);
-    words.push_back(submitted);
-    words.push_back(faulted);
-    auto [it, fresh] = visited_.try_emplace(msg::model_hash(words));
-    if (fresh) {
-      ++stats_.unique_states;
-      if (stats_.unique_states > scope_->max_states) {
-        stats_.state_capped = true;
-        visited_.erase(it);
-        return false;
-      }
-    } else {
-      for (const std::vector<std::uint64_t>& cached : it->second) {
-        if (std::includes(sleep_keys.begin(), sleep_keys.end(),
-                          cached.begin(), cached.end())) {
-          ++stats_.visited_hits;
-          return false;
-        }
-      }
+  f.sleep_keys.clear();
+  for (const SleepEntry& z : f.sleep) f.sleep_keys.push_back(z.key);
+  std::sort(f.sleep_keys.begin(), f.sleep_keys.end());
+  f.words.clear();
+  cur.model_serialize(f.words);
+  f.words.push_back(f.submitted);
+  f.words.push_back(f.faulted);
+  const VisitedSet::Fingerprint fp = msg::model_hash(f.words);
+  const std::size_t slot = visited_.find(fp);
+  if (visited_.fresh(slot)) {
+    ++stats_.unique_states;
+    if (stats_.unique_states > scope_->max_states) {
+      stats_.state_capped = true;
+      return false;
     }
-    it->second.push_back(sleep_keys);
+  } else if (visited_.covered(slot, f.sleep_keys)) {
+    ++stats_.visited_hits;
+    return false;
   }
+  visited_.add(slot, fp, f.sleep_keys);
 
-  std::vector<Transition> all = enabled_transitions(cur, submitted, faulted);
-  if (all.empty()) return false;  // quiescent: everything resolved
+  enabled_transitions(cur, f.submitted, f.faulted, f.todo);
+  if (f.todo.empty()) return false;  // quiescent: everything resolved
 
-  std::vector<Transition> todo;
-  todo.reserve(all.size());
-  for (Transition& t : all) {
-    const bool asleep =
-        std::find(sleep_keys.begin(), sleep_keys.end(), t.key) !=
-        sleep_keys.end();
-    if (asleep) {
-      ++stats_.sleep_pruned;
-    } else {
-      todo.push_back(std::move(t));
-    }
-  }
-  if (todo.empty()) return false;
+  const auto asleep = [&f](const Transition& t) {
+    return std::binary_search(f.sleep_keys.begin(), f.sleep_keys.end(), t.key);
+  };
+  const std::size_t enabled = f.todo.size();
+  std::erase_if(f.todo, asleep);
+  stats_.sleep_pruned += enabled - f.todo.size();
+  if (f.todo.empty()) return false;
 
   if (depth >= scope_->max_depth) {
     stats_.depth_capped = true;
     return false;
   }
 
-  const std::vector<std::uint64_t> cur_qr = stored_qr_versions(cur);
-  std::vector<SleepEntry> sleep_work = std::move(sleep);
-  for (const Transition& t : todo) {
-    msg::Cluster child = cur;
-    child.model_rebind();
-    std::uint32_t child_submitted = submitted;
-    std::uint32_t child_faulted = faulted;
-    apply(child, t, child_submitted, child_faulted);
+  if (frames_.size() == depth + 1) frames_.emplace_back();
+  Frame& child = frames_[depth + 1];
+  for (const Transition& t : f.todo) {
+    child.cluster = cur;  // assigns into the slot once it holds a cluster
+    child.cluster->model_rebind();
+    child.submitted = f.submitted;
+    child.faulted = f.faulted;
+    apply(*child.cluster, t, child.submitted, child.faulted);
     ++stats_.transitions;
 
     // Sleep entries independent of t stay asleep in the child; a
     // dependent one is woken (its orderings relative to t now matter).
-    std::vector<SleepEntry> child_sleep;
-    for (const SleepEntry& z : sleep_work) {
+    child.sleep.clear();
+    for (const SleepEntry& z : f.sleep) {
       const bool dependent = z.global || t.global || z.site == t.site;
-      if (!dependent) child_sleep.push_back(z);
+      if (!dependent) child.sleep.push_back(z);
     }
 
     path.push_back(t.choice);
-    if (dfs(child, child_submitted, child_faulted, std::move(child_sleep),
-            depth + 1, cur_qr, path)) {
-      return true;
-    }
+    if (dfs(depth + 1, path)) return true;
     path.pop_back();
     if (stats_.state_capped) return false;
 
     if (opt_.dpor) {
-      sleep_work.push_back(SleepEntry{t.key, t.site, t.global});
+      f.sleep.push_back(SleepEntry{t.key, t.site, t.global});
     }
   }
   return false;
@@ -397,11 +414,13 @@ bool Explorer::dfs(const msg::Cluster& cur, std::uint32_t submitted,
 std::optional<Violation> Explorer::run() {
   stats_ = Stats{};
   visited_.clear();
+  frames_.clear();
   found_.reset();
 
-  msg::Cluster root = make_cluster();
+  frames_.emplace_back().cluster = make_cluster();
+  frames_[0].cluster->model_rebind();
   std::vector<Choice> path;
-  dfs(root, 0, 0, {}, 0, stored_qr_versions(root), path);
+  dfs(0, path);
   return std::move(found_);
 }
 
@@ -410,29 +429,31 @@ std::optional<Violation> Explorer::replay(
   msg::Cluster c = make_cluster();
   std::uint32_t submitted = 0;
   std::uint32_t faulted = 0;
-  std::vector<std::uint64_t> prev_qr = stored_qr_versions(c);
+  std::vector<std::uint64_t> prev_qr;
+  std::vector<std::uint64_t> cur_qr;
+  stored_qr_versions(c, prev_qr);
+  std::vector<Transition> enabled;
   std::vector<Choice> done;
 
-  if (std::optional<Violation> v = check_state(c, prev_qr)) {
+  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr)) {
     v->trace = done;
     return v;
   }
   for (const Choice& choice : trace) {
     // Resolve the recorded choice in this state; it may no longer apply.
-    const std::vector<Transition> enabled =
-        enabled_transitions(c, submitted, faulted);
+    enabled_transitions(c, submitted, faulted, enabled);
     const auto t = std::find_if(
         enabled.begin(), enabled.end(),
         [&choice](const Transition& e) { return same_choice(e.choice, choice); });
     if (t == enabled.end()) return std::nullopt;
     apply(c, *t, submitted, faulted);
     done.push_back(t->choice);
-    std::vector<std::uint64_t> cur_qr = stored_qr_versions(c);
-    if (std::optional<Violation> v = check_state(c, prev_qr)) {
+    stored_qr_versions(c, cur_qr);
+    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr)) {
       v->trace = done;
       return v;
     }
-    prev_qr = std::move(cur_qr);
+    prev_qr.swap(cur_qr);
   }
   return std::nullopt;
 }

@@ -2,8 +2,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,31 +110,89 @@ public:
   std::vector<Choice> minimize(const Violation& seed) const;
 
 private:
-  struct Transition;
-  struct SleepEntry;
+  struct Transition {
+    Choice choice;            // kEvent: choice.event.seq is the live handle
+    std::uint64_t key = 0;    // sleep-set / covering identity (content hash)
+    net::SiteId site = 0;     // dependence site for kEvent
+    bool global = false;      // kSubmit / kFault: dependent with everything
+  };
+
+  struct SleepEntry {
+    std::uint64_t key = 0;
+    net::SiteId site = 0;
+    bool global = false;
+  };
+
+  /// The state and buffers of one DFS depth. A depth's slot is refilled
+  /// by copy-assignment for each of its states, so the cluster's vectors
+  /// and the buffers keep their capacity; the state at depth d stays
+  /// intact while depth d + 1 is rewritten.
+  struct Frame {
+    std::optional<msg::Cluster> cluster;
+    std::uint32_t submitted = 0;            // scope accesses submitted
+    std::uint32_t faulted = 0;              // scope fault groups fired
+    std::vector<SleepEntry> sleep;          // grows as siblings finish
+    std::vector<std::uint64_t> sleep_keys;  // sorted keys of `sleep` on entry
+    std::vector<std::uint64_t> qr;          // stored QR version per site
+    std::vector<std::uint64_t> words;       // serialization + the two masks
+    std::vector<Transition> todo;           // enabled and awake
+  };
+
+  /// Fingerprint -> the sleep-key sets it was explored under (each
+  /// sorted). Open addressing with linear probing on the fingerprint's
+  /// first word, doubled at half load; the key sets of all fingerprints
+  /// share one pool, each fingerprint listing its own newest first.
+  class VisitedSet {
+  public:
+    using Fingerprint = std::array<std::uint64_t, 2>;
+    void clear();
+    /// The slot holding `fp`, or the free slot where it would go.
+    std::size_t find(const Fingerprint& fp) const;
+    bool fresh(std::size_t slot) const { return slots_[slot].newest == 0; }
+    /// True if a key set cached at `slot` is a subset of `keys`.
+    bool covered(std::size_t slot, std::span<const std::uint64_t> keys) const;
+    /// Caches `keys` for `fp`, which find() placed at `slot`.
+    void add(std::size_t slot, const Fingerprint& fp,
+             std::span<const std::uint64_t> keys);
+
+  private:
+    struct Slot {
+      Fingerprint fp{};
+      std::uint32_t newest = 0;  // 1 + its newest entry of sets_; 0 = free
+    };
+    struct KeySet {
+      std::size_t begin = 0;     // into keys_
+      std::uint32_t size = 0;
+      std::uint32_t older = 0;   // 1 + the fingerprint's next set; 0 = none
+    };
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+    std::vector<KeySet> sets_;
+    std::vector<std::uint64_t> keys_;
+  };
 
   msg::Cluster make_cluster() const;
-  std::vector<Transition> enabled_transitions(const msg::Cluster& c,
-                                              std::uint32_t submitted,
-                                              std::uint32_t faulted) const;
+  void enabled_transitions(const msg::Cluster& c, std::uint32_t submitted,
+                           std::uint32_t faulted,
+                           std::vector<Transition>& out) const;
   void apply(msg::Cluster& c, const Transition& t, std::uint32_t& submitted,
              std::uint32_t& faulted) const;
   std::optional<Violation> check_state(
-      const msg::Cluster& c, const std::vector<std::uint64_t>& prev_qr) const;
-  std::vector<std::uint64_t> stored_qr_versions(const msg::Cluster& c) const;
+      const msg::Cluster& c, std::span<const std::uint64_t> prev_qr,
+      std::span<const std::uint64_t> cur_qr) const;
+  void stored_qr_versions(const msg::Cluster& c,
+                          std::vector<std::uint64_t>& out) const;
 
-  bool dfs(const msg::Cluster& cur, std::uint32_t submitted,
-           std::uint32_t faulted, std::vector<SleepEntry> sleep,
-           std::uint64_t depth, std::vector<std::uint64_t> prev_qr,
-           std::vector<Choice>& path);
+  /// Explores the state in frames_[depth], reached by `path`.
+  bool dfs(std::size_t depth, std::vector<Choice>& path);
 
   const Scope* scope_;
   Options opt_;
   Stats stats_;
   std::optional<Violation> found_;
-  /// fingerprint -> sleep-key sets it was explored under (each sorted).
-  std::map<std::array<std::uint64_t, 2>, std::vector<std::vector<std::uint64_t>>>
-      visited_;
+  VisitedSet visited_;
+  /// One per depth reached; a deque, so growing it moves no frame.
+  std::deque<Frame> frames_;
 };
 
 } // namespace quora::model

@@ -606,10 +606,13 @@ constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) noexcept {
   return h;
 }
 
-/// The model checker's 128-bit fingerprint of a canonical word stream: an
-/// FNV-1a chain and a one-multiply chain, in one pass. Cluster::
-/// model_fingerprint() is this over model_serialize; the explorer's
-/// visited set appends the scope's submit and fault masks first.
+/// The model checker's 128-bit fingerprint of a canonical word stream,
+/// hashed a word at a time. Each 64-bit half runs two multiply-xorshift
+/// lanes, over the even and the odd words, and folds them with the
+/// stream's length through a full-avalanche finalizer; the halves use
+/// different multipliers. Cluster::model_fingerprint() is this over
+/// model_serialize; the explorer's visited set appends the scope's submit
+/// and fault masks first.
 std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words);
 
 } // namespace quora::msg

@@ -14,16 +14,56 @@
 
 namespace quora::msg {
 
+namespace {
+
+/// One step of a hash lane. For a fixed word it is a bijection of the
+/// lane, and for a fixed lane a bijection of the word, so a stream that
+/// differs from another in one word differs in that word's lanes.
+constexpr std::uint64_t lane_step(std::uint64_t lane, std::uint64_t w,
+                                  std::uint64_t mul) noexcept {
+  lane = (lane ^ w) * mul;
+  return lane ^ (lane >> 32);
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection in which every input bit
+/// flips each output bit with probability about 1/2.
+constexpr std::uint64_t avalanche(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  return h ^ (h >> 33);
+}
+
+} // namespace
+
 std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words) {
-  // The second chain is structurally different from FNV-1a, so the two
-  // halves do not collide together.
-  std::uint64_t h1 = kFnvOffset;
-  std::uint64_t h2 = 0x9E3779B97F4A7C15ull;
-  for (const std::uint64_t w : words) {
-    h1 = fnv1a_step(h1, w);
-    h2 = (h2 * 0x100000001B3ull) ^ (w + (h2 >> 7));
+  // Four independent lanes, so their multiplies overlap instead of
+  // chaining: lanes 0 and 1 take the even and odd words for the first
+  // half, lanes 2 and 3 take them again under other multipliers for the
+  // second, so each half hashes every word on its own.
+  constexpr std::array<std::uint64_t, 4> kMul{
+      0x9E3779B97F4A7C15ull, 0xC2B2AE3D27D4EB4Full, 0x165667B19E3779F9ull,
+      0xD6E8FEB86659FD93ull};
+  std::array<std::uint64_t, 4> lane{kMul[3], kMul[2], kMul[1], kMul[0]};
+  const std::size_t n = words.size();
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    lane[0] = lane_step(lane[0], words[i], kMul[0]);
+    lane[1] = lane_step(lane[1], words[i + 1], kMul[1]);
+    lane[2] = lane_step(lane[2], words[i], kMul[2]);
+    lane[3] = lane_step(lane[3], words[i + 1], kMul[3]);
   }
-  return {h1, h2};
+  if (i < n) {
+    lane[0] = lane_step(lane[0], words[i], kMul[0]);
+    lane[2] = lane_step(lane[2], words[i], kMul[2]);
+  }
+  // Each fold is a bijection of what it adds, so a stream that changes
+  // one lane of a half, or only the length, changes that half.
+  const auto fold = [n](std::uint64_t even, std::uint64_t odd) {
+    return avalanche(avalanche(avalanche(even) ^ odd) ^ n);
+  };
+  return {fold(lane[0], lane[1]), fold(lane[2], lane[3])};
 }
 
 std::vector<std::uint64_t> Cluster::model_fifo_ranks() const {
@@ -132,6 +172,9 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   QUORA_PRECONDITION(params_.model_mode,
                      "model_serialize needs Params::model_mode");
   const auto u = [&out](std::uint64_t v) { out.push_back(v); };
+  const auto at = [&out](std::size_t k) {
+    return out.begin() + static_cast<std::ptrdiff_t>(k);
+  };
 
   // Newest record decided at or before `t` — the floor a pending access
   // will eventually be audited against. Storing the floor instead of the
@@ -209,59 +252,68 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   // verdicts. Committed versions as a sorted multiset (a future commit
   // duplicating any of them violates uniqueness) and the newest install
   // (the stale-assignment floor of every future access).
-  std::vector<std::uint64_t> versions;
-  versions.reserve(commits_.size());
-  for (const CommitRecord& c : commits_) versions.push_back(c.version);
-  std::sort(versions.begin(), versions.end());
-  u(versions.size());
-  for (const std::uint64_t v : versions) u(v);
+  u(commits_.size());
+  const std::size_t versions = out.size();
+  for (const CommitRecord& c : commits_) u(c.version);
+  std::sort(at(versions), out.end());
   std::uint64_t newest_install = 0;
   for (const InstallRecord& r : installs_) {
     newest_install = std::max(newest_install, r.version);
   }
   u(newest_install);
 
-  // In-flight events as a canonical multiset. Deliveries carry their
+  // In-flight events as a canonical multiset: deliveries (tag 1), then
+  // timers (tag 2), each record after its length. Deliveries carry their
   // directed link and FIFO rank (position in that direction's pending
   // order) instead of absolute times; two states whose queues differ only
   // in timestamps — but agree on per-direction order — encode equal,
-  // which is the whole point of the untimed abstraction.
+  // which is the whole point of the untimed abstraction. Sorting the
+  // deliveries by (direction, time, seq) ranks them and orders their
+  // records in one go, since (direction, rank) is unique. The sorts run
+  // over event indices parked at the end of `out`, which are dropped once
+  // the records follow them, so nothing is allocated per event.
   const std::span<const Event> pending = queue_.pending();
-  const std::vector<std::uint64_t> rank = model_fifo_ranks();
-  std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(queue_.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const Event& e = pending[i];
+  u(pending.size());
+  const std::size_t first = out.size();
+  for (std::size_t i = 0; i < pending.size(); ++i) u(i);
+  const auto timers = std::partition(at(first), out.end(), [&](std::uint64_t i) {
+    return pending[i].kind == Kind::kDelivery;
+  });
+  const auto dir_of = [&](const Event& e) {
+    return direction(e.index, slab_[e.slot].target);
+  };
+  std::sort(at(first), timers, [&](std::uint64_t i, std::uint64_t j) {
+    const Event& a = pending[i];
+    const Event& b = pending[j];
+    return std::tuple(dir_of(a), a.time, a.seq) < std::tuple(dir_of(b), b.time, b.seq);
+  });
+  std::sort(timers, out.end(), [&](std::uint64_t i, std::uint64_t j) {
+    const Payload& a = slab_[pending[i].slot];
+    const Payload& b = slab_[pending[j].slot];
+    return std::tuple(a.target, a.request, static_cast<std::uint64_t>(a.phase)) <
+           std::tuple(b.target, b.request, static_cast<std::uint64_t>(b.phase));
+  });
+  std::size_t prev_dir = 0;
+  std::uint64_t rank = 0;
+  for (std::size_t k = first; k < first + pending.size(); ++k) {
+    const Event& e = pending[out[k]];
     const Payload& p = slab_[e.slot];
-    std::vector<std::uint64_t> enc;
-    if (e.kind == Kind::kDelivery) {
-      const Message& m = p.message;
-      enc = {1,
-             direction(e.index, p.target),
-             rank[i],
-             static_cast<std::uint64_t>(m.kind),
-             m.is_write ? 1u : 0u,
-             m.request,
-             m.coordinator,
-             m.sender,
-             m.replier,
-             m.votes,
-             m.version,
-             m.value,
-             m.qr_version,
-             m.qr_r,
-             m.qr_w};
-    } else {
-      enc = {2, p.target, p.request, static_cast<std::uint64_t>(p.phase)};
+    if (e.kind != Kind::kDelivery) {
+      out.insert(out.end(), {4, 2, p.target, p.request,
+                             static_cast<std::uint64_t>(p.phase)});
+      continue;
     }
-    encodings.push_back(std::move(enc));
+    const std::size_t dir = dir_of(e);
+    rank = k > first && dir == prev_dir ? rank + 1 : 0;
+    prev_dir = dir;
+    const Message& m = p.message;
+    out.insert(out.end(),
+               {15, 1, dir, rank, static_cast<std::uint64_t>(m.kind),
+                m.is_write ? 1u : 0u, m.request, m.coordinator, m.sender,
+                m.replier, m.votes, m.version, m.value, m.qr_version, m.qr_r,
+                m.qr_w});
   }
-  std::sort(encodings.begin(), encodings.end());
-  u(encodings.size());
-  for (const std::vector<std::uint64_t>& enc : encodings) {
-    u(enc.size());
-    for (const std::uint64_t w : enc) u(w);
-  }
+  out.erase(at(first), at(first + pending.size()));
 }
 
 std::array<std::uint64_t, 2> Cluster::model_fingerprint() const {

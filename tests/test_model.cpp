@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/config_audit.hpp"
@@ -211,6 +216,26 @@ TEST(ModelExplorer, ShippedSweepScopeTraversalIsPinned) {
   EXPECT_EQ(without.stats().unique_states, 9347u);
 }
 
+TEST(ModelExplorer, RunTwiceRepeatsTheTraversal) {
+  // run() starts afresh: no visited state, snapshot or sleep set of the
+  // first run may reach the second.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  Explorer explorer(scope);
+  ASSERT_FALSE(explorer.run().has_value());
+  const quora::model::Stats first = explorer.stats();
+  ASSERT_FALSE(explorer.run().has_value());
+  const quora::model::Stats& again = explorer.stats();
+  EXPECT_EQ(again.explored, first.explored);
+  EXPECT_EQ(again.transitions, first.transitions);
+  EXPECT_EQ(again.unique_states, first.unique_states);
+  EXPECT_EQ(again.visited_hits, first.visited_hits);
+  EXPECT_EQ(again.sleep_pruned, first.sleep_pruned);
+  EXPECT_EQ(again.max_depth_seen, first.max_depth_seen);
+  EXPECT_EQ(again.depth_capped, first.depth_capped);
+  EXPECT_EQ(again.state_capped, first.state_capped);
+}
+
 TEST(ModelHooks, EnabledEventsComeInSeqOrder) {
   // The explorer's DFS order and its per-descriptor occurrence numbering
   // assume ascending seq. Walk tiny_line's cluster a few steps, firing
@@ -274,6 +299,92 @@ TEST(ModelHooks, SerializationIsPinnedAcrossARestart) {
   // flat tables replaced.
   EXPECT_EQ(fired, 22u);
   EXPECT_EQ(h, 0x47e4ffee1c31da24ull);
+}
+
+TEST(ModelHooks, FingerprintSeparatesNearbyStates) {
+  // The visited set keeps fingerprints, not states, so two states whose
+  // words differ must get different fingerprints — each 64-bit half on
+  // its own. Walk tiny_line's cluster as the pin above walks
+  // crash_cleanup, and hash every state's words, every one-word change of
+  // them to each value 0-15, every swap of two adjacent words, every flip
+  // of the top bits of two words two apart (a multiply alone never carries
+  // a top-bit difference down, so two such flips in one lane cancel) and
+  // the words with a zero appended.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  quora::msg::Cluster::Params params;
+  params.model_mode = true;
+  params.spec = scope.chaos.quorum;
+  quora::msg::Cluster cluster(scope.chaos.system->topology, params, 1);
+  for (const quora::fault::Action& a : scope.accesses) {
+    cluster.model_submit_access(a.site, a.is_read);
+  }
+  std::vector<std::vector<std::uint64_t>> path;
+  for (std::size_t fired = 0;; ++fired) {
+    if (fired == 3) {
+      for (const std::vector<quora::fault::Action>& group : scope.faults) {
+        for (const quora::fault::Action& a : group) cluster.model_apply_fault(a);
+      }
+    }
+    const std::vector<quora::msg::Cluster::ModelEvent> events =
+        cluster.model_enabled_events();
+    if (events.empty()) break;
+    ASSERT_TRUE(cluster.model_step_event(events.front().seq));
+    path.emplace_back();
+    cluster.model_serialize(path.back());
+  }
+  ASSERT_GE(path.size(), 10u);
+
+  std::set<std::vector<std::uint64_t>> streams(path.begin(), path.end());
+  for (const std::vector<std::uint64_t>& words : path) {
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      std::vector<std::uint64_t> changed = words;
+      for (std::uint64_t v = 0; v < 16; ++v) {
+        changed[i] = v;
+        streams.insert(changed);
+      }
+      if (i + 1 < words.size()) {
+        std::vector<std::uint64_t> swapped = words;
+        std::swap(swapped[i], swapped[i + 1]);
+        streams.insert(swapped);
+      }
+      if (i + 2 < words.size()) {
+        std::vector<std::uint64_t> flipped = words;
+        flipped[i] ^= std::uint64_t{1} << 63;
+        flipped[i + 2] ^= std::uint64_t{1} << 63;
+        streams.insert(flipped);
+      }
+    }
+    std::vector<std::uint64_t> longer = words;
+    longer.push_back(0);
+    streams.insert(longer);
+  }
+  std::set<std::uint64_t> low;
+  std::set<std::uint64_t> high;
+  for (const std::vector<std::uint64_t>& words : streams) {
+    const std::array<std::uint64_t, 2> h = quora::msg::model_hash(words);
+    low.insert(h[0]);
+    high.insert(h[1]);
+  }
+  EXPECT_GT(streams.size(), 10'000u);
+  EXPECT_EQ(low.size(), streams.size());
+  EXPECT_EQ(high.size(), streams.size());
+
+  // Nearby streams also get far-apart halves: flipping the lowest or the
+  // highest bit of one word flips at least 8 bits of each half, where a
+  // full avalanche flips 32 on average.
+  for (const std::vector<std::uint64_t>& words : path) {
+    const std::array<std::uint64_t, 2> h = quora::msg::model_hash(words);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      for (const int bit : {0, 63}) {
+        std::vector<std::uint64_t> flipped = words;
+        flipped[i] ^= std::uint64_t{1} << bit;
+        const std::array<std::uint64_t, 2> g = quora::msg::model_hash(flipped);
+        EXPECT_GE(std::popcount(h[0] ^ g[0]), 8) << "word " << i << " bit " << bit;
+        EXPECT_GE(std::popcount(h[1] ^ g[1]), 8) << "word " << i << " bit " << bit;
+      }
+    }
+  }
 }
 
 TEST(ModelExplorer, StateBudgetCapsAreReported) {

@@ -79,13 +79,15 @@ void expect_detected(const char* fixture, const std::string& code,
   EXPECT_NE(chaos.text.find(code), std::string::npos);
 }
 
-void expect_clean(const char* fixture, std::uint64_t states_budget) {
+quora::model::Stats expect_clean(const char* fixture,
+                                 std::uint64_t states_budget) {
   Scope scope = load_fixture(fixture);
   scope.chaos.mutations.clear();
   scope.max_states = states_budget;
   Explorer explorer(scope);
   EXPECT_FALSE(explorer.run().has_value())
       << fixture << ": unmutated protocol violated safety";
+  return explorer.stats();
 }
 
 TEST(SeededMutations, AcceptStaleQrIsDetectedAndReplays) {
@@ -113,7 +115,17 @@ TEST(SeededMutations, CrashCleanupScopeIsSafeWithoutTheMutation) {
   // The crash scope does not exhaust in reasonable time; the differential
   // claim is bounded — no violation within the budget the mutated run
   // needed to find one (and then some).
-  expect_clean("mutation_crash_cleanup.model", 150'000);
+  const quora::model::Stats s =
+      expect_clean("mutation_crash_cleanup.model", 150'000);
+  // The traversal is pinned too: this is the scope perfbench's
+  // model_explore times, and only pinned counts catch a traversal that
+  // moves between commits.
+  EXPECT_TRUE(s.state_capped);
+  EXPECT_EQ(s.explored, 298578u);
+  EXPECT_EQ(s.unique_states, 150001u);
+  EXPECT_EQ(s.transitions, 298577u);
+  EXPECT_EQ(s.visited_hits, 117717u);
+  EXPECT_EQ(s.sleep_pruned, 362161u);
 }
 
 } // namespace

@@ -13,7 +13,8 @@
 // 4949); and single calls of the layers around them: alias sampling, the
 // three optimizers and the two closed-form densities on 101 sites, the
 // replicated and witness stores, the coterie engine and a two-object
-// database transaction. scripts/bench_compare.py diffs two of these
+// database transaction; and quora_model's search, exhausting the shipped
+// tiny_line scope. scripts/bench_compare.py diffs two of these
 // JSONs with a regression threshold; docs/PERFORMANCE.md describes the
 // schema and how to refresh the checked-in baseline.
 //
@@ -55,6 +56,8 @@
 #include "db/database.hpp"
 #include "io/cli_args.hpp"
 #include "io/config_audit.hpp"
+#include "model/explorer.hpp"
+#include "model/scope.hpp"
 #include "net/builders.hpp"
 #include "quorum/coterie_protocol.hpp"
 #include "quorum/replicated_store.hpp"
@@ -275,6 +278,25 @@ CaseResult bench_sim_e2e(const Options& opt, const std::string& name,
     sim.run_accesses(items);
     if (probe.votes_seen == 0xffffffff) std::abort();
     r.rebuilds = static_cast<double>(sim.tracker().stats().full_rebuilds - rebuilds0);
+  });
+}
+
+/// quora_model's search end to end: each call exhausts the shipped
+/// tiny_line scope with DPOR. Items are unique states, so ns_per_op is
+/// the cost of one unique state.
+CaseResult bench_model(const Options& opt) {
+  const model::Scope scope = model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  model::Explorer warmup(scope);
+  if (warmup.run()) std::abort();
+  const std::uint64_t unique = warmup.stats().unique_states;
+  const std::uint64_t calls = opt.quick ? 2 : 40;
+  return run_case("model_tiny_line", calls * unique,
+                  [&](std::uint64_t, CaseResult&) {
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      model::Explorer explorer(scope);
+      if (explorer.run() || explorer.stats().unique_states != unique) std::abort();
+    }
   });
 }
 
@@ -674,6 +696,7 @@ int main(int argc, char** argv) {
     cases.push_back(bench_tracker(opt, "topology256", t256, 2'000'000, 100'000));
   }
   bench_layer_calls(opt, cases);
+  cases.push_back(bench_model(opt));
   for (CaseResult& r : cases) {
     finish_rates(r);
     if (r.name.rfind("sim_e2e_", 0) == 0) r.accesses_per_sec = r.ops_per_sec();
