@@ -45,7 +45,7 @@ bool same_descriptor(const Cluster::ModelEvent& x, const Cluster::ModelEvent& y)
 bool same_choice(const Choice& x, const Choice& y) {
   if (x.kind != y.kind) return false;
   if (x.kind != Choice::Kind::kEvent) return x.index == y.index;
-  return x.occurrence == y.occurrence && same_descriptor(x.event, y.event);
+  return same_descriptor(x.event, y.event);
 }
 
 std::uint64_t descriptor_key(const Choice& c) {
@@ -56,7 +56,7 @@ std::uint64_t descriptor_key(const Choice& c) {
   const Cluster::ModelEvent& e = c.event;
   mix({static_cast<std::uint64_t>(c.kind), c.index,
        static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
-       static_cast<std::uint64_t>(e.phase), c.occurrence});
+       static_cast<std::uint64_t>(e.phase)});
   if (e.kind == Cluster::ModelEventKind::kDelivery) {
     const msg::Message& m = e.message;
     mix({static_cast<std::uint64_t>(m.kind), m.is_write ? 1u : 0u, m.request,
@@ -85,19 +85,14 @@ std::string Choice::describe(const Scope& scope) const {
     case Kind::kEvent:
       break;
   }
-  std::string out;
   if (event.kind == Cluster::ModelEventKind::kDelivery) {
-    out = std::string("deliver ") + message_kind_name(event.message.kind) +
-          " req " + std::to_string(event.message.request) + " -> site " +
-          std::to_string(event.target) + " (link " +
-          std::to_string(event.index) + ")";
-  } else {
-    out = "timer site " + std::to_string(event.target) + " req " +
-          std::to_string(event.request) + " phase " +
-          std::to_string(event.phase);
+    return std::string("deliver ") + message_kind_name(event.message.kind) +
+           " req " + std::to_string(event.message.request) + " -> site " +
+           std::to_string(event.target) + " (link " +
+           std::to_string(event.index) + ")";
   }
-  if (occurrence != 0) out += " #" + std::to_string(occurrence);
-  return out;
+  return "timer site " + std::to_string(event.target) + " req " +
+         std::to_string(event.request) + " phase " + std::to_string(event.phase);
 }
 
 std::vector<std::string> Violation::codes() const {
@@ -202,12 +197,6 @@ void Explorer::enabled_transitions(const msg::Cluster& c,
     Transition t;
     t.choice.kind = Choice::Kind::kEvent;
     t.choice.event = e;
-    for (const Transition& prev : out) {
-      if (prev.choice.kind == Choice::Kind::kEvent &&
-          same_descriptor(prev.choice.event, e)) {
-        ++t.choice.occurrence;
-      }
-    }
     t.site = e.target;
     t.key = descriptor_key(t.choice);
     out.push_back(std::move(t));

@@ -14,11 +14,12 @@
 
 namespace quora::model {
 
-/// One transition along an explored path. Identified by *content*
-/// (descriptor fields + occurrence rank), never by queue sequence
-/// number: a recorded trace must replay against a freshly built cluster,
-/// and keep replaying as minimization drops earlier steps — both of
-/// which renumber every event.
+/// One transition along an explored path. Identified by *content* (its
+/// descriptor fields), never by sequence number: a recorded trace must
+/// replay against a freshly built cluster, and keep replaying as
+/// minimization drops earlier steps — both of which renumber every
+/// event. No two enabled events share a descriptor, since each direction
+/// has one enabled head and each (site, request, phase) at most one timer.
 struct Choice {
   enum class Kind : std::uint8_t { kEvent = 0, kSubmit = 1, kFault = 2 };
   Kind kind = Kind::kEvent;
@@ -28,9 +29,6 @@ struct Choice {
   /// into the state it was enumerated in only; the other fields are the
   /// descriptor a replay matches.
   msg::Cluster::ModelEvent event{};
-  /// Rank among enabled events with an identical descriptor (enumeration
-  /// order), disambiguating true duplicates.
-  std::uint32_t occurrence = 0;
 
   /// One-line human rendering for counterexample listings.
   std::string describe(const Scope& scope) const;

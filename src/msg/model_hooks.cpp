@@ -1,16 +1,16 @@
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <tuple>
-#include <utility>
 
 #include "core/contracts.hpp"
 #include "msg/cluster.hpp"
 
-// Model-checker hooks for msg::Cluster (Params::model_mode). The explorer
-// (src/model) owns the schedule: it reads the enabled transitions, fires
-// one by sequence number, and snapshots the cluster by value. Everything
-// here is off the simulation hot path — quora_bench never sets model_mode.
+// Model-checker hooks for msg::Cluster (Params::model_mode): the model
+// scheduler and the canonical serializer. In model mode send() and
+// arm_timer() append to per-direction FIFO channels and one timer list
+// instead of the timed heap. The explorer (src/model) owns the schedule:
+// it reads the enabled transitions, fires one by sequence number, and
+// snapshots the cluster by value. Nothing here runs in a timed run.
 
 namespace quora::msg {
 
@@ -66,51 +66,27 @@ std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words) {
   return {fold(lane[0], lane[1]), fold(lane[2], lane[3])};
 }
 
-std::vector<std::uint64_t> Cluster::model_fifo_ranks() const {
-  // One sort of the deliveries by (direction, time, seq); ranks count up
-  // within each direction's run. seq is unique, so the index never ties.
-  const std::span<const Event> pending = queue_.pending();
-  std::vector<std::tuple<std::size_t, double, std::uint64_t, std::size_t>> order;
-  order.reserve(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const Event& e = pending[i];
-    if (e.kind == Kind::kDelivery)
-      order.emplace_back(direction(e.index, slab_[e.slot].target), e.time,
-                         e.seq, i);
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<std::uint64_t> rank(pending.size(), 0);
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    if (std::get<0>(order[k]) == std::get<0>(order[k - 1]))
-      rank[std::get<3>(order[k])] = rank[std::get<3>(order[k - 1])] + 1;
-  }
-  return rank;
-}
-
 std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
   QUORA_PRECONDITION(params_.model_mode,
                      "model_enabled_events needs Params::model_mode");
-  // Links are FIFO per direction, so only the head of each direction is
+  // Links are FIFO per direction, so only the head of each channel is
   // enabled — a later delivery on the same direction cannot overtake it
-  // under any timing.
-  const std::span<const Event> pending = queue_.pending();
-  const std::vector<std::uint64_t> rank = model_fifo_ranks();
+  // under any timing. Every timer is enabled.
   std::vector<ModelEvent> out;
-  out.reserve(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const Event& e = pending[i];
-    const Payload& p = slab_[e.slot];
-    ModelEvent me{e.seq, ModelEventKind::kTimer, p.target, e.index, p.request,
-                  p.phase, {}};
-    if (e.kind == Kind::kDelivery) {
-      if (rank[i] != 0) continue;  // behind its direction's FIFO head
-      me.kind = ModelEventKind::kDelivery;
-      me.message = p.message;
-    }
-    out.push_back(me);
+  out.reserve(channels_.size() + timers_.size());
+  for (std::size_t dir = 0; dir < channels_.size(); ++dir) {
+    if (channels_[dir].empty()) continue;
+    const ModelEntry& head = channels_[dir].front();
+    out.push_back(ModelEvent{head.seq, ModelEventKind::kDelivery,
+                             head.payload.target,
+                             static_cast<std::uint32_t>(dir / 2), 0, 0,
+                             head.payload.message});
   }
-  // pending() is in heap order; the explorer's DFS order and its
-  // per-descriptor occurrence numbering rest on ascending seq.
+  for (const ModelEntry& t : timers_) {
+    out.push_back(ModelEvent{t.seq, ModelEventKind::kTimer, t.payload.target,
+                             0, t.payload.request, t.payload.phase, {}});
+  }
+  // The explorer's DFS order rests on ascending seq.
   std::sort(out.begin(), out.end(), [](const ModelEvent& a, const ModelEvent& b) {
     return a.seq < b.seq;
   });
@@ -118,34 +94,46 @@ std::vector<Cluster::ModelEvent> Cluster::model_enabled_events() const {
 }
 
 void Cluster::model_purge_dead_timers() {
+  // No injector, no background processes and no retries: model mode
+  // never schedules a timed event, so the channels and the timer list
+  // hold everything pending.
+  QUORA_PRECONDITION(queue_.empty(),
+                     "model mode schedules only deliveries and timers");
   // handle_timer ignores a timer whose request is decided or whose phase
   // was superseded, and with max_retries == 0 (model mode) phases only
   // advance — so such an event can never do anything again. Dropping it
   // here merges every "fire the dead timer now vs. later" pair of states.
-  queue_.remove_if([this](const Event& e) {
-    // No injector, no background processes and no retries: every other
-    // kind of event is unreachable here, so enumeration, purge and
-    // serialization handle these two only.
-    QUORA_PRECONDITION(e.kind == Kind::kDelivery || e.kind == Kind::kTimer,
-                       "model mode schedules only deliveries and timers");
-    if (e.kind != Kind::kTimer) return false;
-    const Payload& p = slab_[e.slot];
-    if (find_coordination(p.target, p.request, p.phase) != nullptr) return false;
-    free_slots_.push_back(e.slot);
-    return true;
+  std::erase_if(timers_, [this](const ModelEntry& t) {
+    const Payload& p = t.payload;
+    return find_coordination(p.target, p.request, p.phase) == nullptr;
   });
 }
 
 bool Cluster::model_step_event(std::uint64_t seq) {
   QUORA_PRECONDITION(params_.model_mode,
                      "model_step_event needs Params::model_mode");
-  const std::optional<Event> e = queue_.remove(seq);
-  if (!e) return false;
+  const auto head = std::find_if(channels_.begin(), channels_.end(),
+                                 [seq](const std::vector<ModelEntry>& c) {
+                                   return !c.empty() && c.front().seq == seq;
+                                 });
+  const auto timer = std::find_if(timers_.begin(), timers_.end(),
+                                  [seq](const ModelEntry& t) { return t.seq == seq; });
+  if (head == channels_.end() && timer == timers_.end()) return false;
   // Logical clock: one tick per transition. Submission and decision
   // timestamps then order by firing sequence, which is exactly the
-  // linearization `check_safety`'s real-time comparisons audit.
+  // linearization `check_safety`'s real-time comparisons audit. The
+  // handler runs on a copy of the event, which leaves its list first.
   now_ += 1.0;
-  step(*e);
+  if (head != channels_.end()) {
+    const auto link = static_cast<net::LinkId>((head - channels_.begin()) / 2);
+    const Payload delivery = head->front().payload;
+    head->erase(head->begin());
+    handle_delivery(link, delivery);
+  } else {
+    const Payload p = timer->payload;
+    timers_.erase(timer);
+    handle_timer(p);
+  }
   model_purge_dead_timers();
   return true;
 }
@@ -263,57 +251,41 @@ void Cluster::model_serialize(std::vector<std::uint64_t>& out) const {
   u(newest_install);
 
   // In-flight events as a canonical multiset: deliveries (tag 1), then
-  // timers (tag 2), each record after its length. Deliveries carry their
-  // directed link and FIFO rank (position in that direction's pending
-  // order) instead of absolute times; two states whose queues differ only
-  // in timestamps — but agree on per-direction order — encode equal,
-  // which is the whole point of the untimed abstraction. Sorting the
-  // deliveries by (direction, time, seq) ranks them and orders their
-  // records in one go, since (direction, rank) is unique. The sorts run
-  // over event indices parked at the end of `out`, which are dropped once
-  // the records follow them, so nothing is allocated per event.
-  const std::span<const Event> pending = queue_.pending();
-  u(pending.size());
-  const std::size_t first = out.size();
-  for (std::size_t i = 0; i < pending.size(); ++i) u(i);
-  const auto timers = std::partition(at(first), out.end(), [&](std::uint64_t i) {
-    return pending[i].kind == Kind::kDelivery;
-  });
-  const auto dir_of = [&](const Event& e) {
-    return direction(e.index, slab_[e.slot].target);
-  };
-  std::sort(at(first), timers, [&](std::uint64_t i, std::uint64_t j) {
-    const Event& a = pending[i];
-    const Event& b = pending[j];
-    return std::tuple(dir_of(a), a.time, a.seq) < std::tuple(dir_of(b), b.time, b.seq);
-  });
-  std::sort(timers, out.end(), [&](std::uint64_t i, std::uint64_t j) {
-    const Payload& a = slab_[pending[i].slot];
-    const Payload& b = slab_[pending[j].slot];
-    return std::tuple(a.target, a.request, static_cast<std::uint64_t>(a.phase)) <
-           std::tuple(b.target, b.request, static_cast<std::uint64_t>(b.phase));
-  });
-  std::size_t prev_dir = 0;
-  std::uint64_t rank = 0;
-  for (std::size_t k = first; k < first + pending.size(); ++k) {
-    const Event& e = pending[out[k]];
-    const Payload& p = slab_[e.slot];
-    if (e.kind != Kind::kDelivery) {
-      out.insert(out.end(), {4, 2, p.target, p.request,
-                             static_cast<std::uint64_t>(p.phase)});
-      continue;
+  // timers (tag 2), each record after its length. A delivery carries its
+  // direction and its position in that direction's channel (its FIFO
+  // rank) instead of an absolute time; two states whose channels hold the
+  // same messages in the same order encode equal, which is the whole
+  // point of the untimed abstraction. Timers are sorted by (owner,
+  // request, phase) over their indices, parked at the end of `out` and
+  // dropped once the records follow them, so nothing is allocated per
+  // event.
+  std::size_t in_flight = timers_.size();
+  for (const std::vector<ModelEntry>& c : channels_) in_flight += c.size();
+  u(in_flight);
+  for (std::size_t dir = 0; dir < channels_.size(); ++dir) {
+    for (std::size_t rank = 0; rank < channels_[dir].size(); ++rank) {
+      const Message& m = channels_[dir][rank].payload.message;
+      out.insert(out.end(),
+                 {15, 1, dir, rank, static_cast<std::uint64_t>(m.kind),
+                  m.is_write ? 1u : 0u, m.request, m.coordinator, m.sender,
+                  m.replier, m.votes, m.version, m.value, m.qr_version, m.qr_r,
+                  m.qr_w});
     }
-    const std::size_t dir = dir_of(e);
-    rank = k > first && dir == prev_dir ? rank + 1 : 0;
-    prev_dir = dir;
-    const Message& m = p.message;
-    out.insert(out.end(),
-               {15, 1, dir, rank, static_cast<std::uint64_t>(m.kind),
-                m.is_write ? 1u : 0u, m.request, m.coordinator, m.sender,
-                m.replier, m.votes, m.version, m.value, m.qr_version, m.qr_r,
-                m.qr_w});
   }
-  out.erase(at(first), at(first + pending.size()));
+  const std::size_t first = out.size();
+  for (std::size_t i = 0; i < timers_.size(); ++i) u(i);
+  std::sort(at(first), out.end(), [this](std::uint64_t i, std::uint64_t j) {
+    const Payload& a = timers_[i].payload;
+    const Payload& b = timers_[j].payload;
+    return std::tuple(a.target, a.request, a.phase) <
+           std::tuple(b.target, b.request, b.phase);
+  });
+  for (std::size_t k = first; k < first + timers_.size(); ++k) {
+    const Payload& p = timers_[out[k]].payload;
+    out.insert(out.end(), {4, 2, p.target, p.request,
+                           static_cast<std::uint64_t>(p.phase)});
+  }
+  out.erase(at(first), at(first + timers_.size()));
 }
 
 std::array<std::uint64_t, 2> Cluster::model_fingerprint() const {

@@ -1,15 +1,14 @@
-// sim::EventQueue ordering, removal and lifecycle. The simulator's bitwise
+// sim::EventQueue ordering, copies and lifecycle. The simulator's bitwise
 // reproducibility rests on the queue's (time, seq) total order, batch
 // replays rely on clear() returning the queue to a truly fresh state, and
-// msg::Cluster's model mode removes events by seq and by predicate from
-// queues the explorer copies by value — all of it is pinned here.
+// a queue copied by value (with the cluster or simulator holding it) must
+// carry its deferred root removal and its seq counter — all of it is
+// pinned here.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -32,15 +31,10 @@ std::vector<sim::Event> drain(Queue& q) {
   return out;
 }
 
-std::vector<std::uint64_t> sorted_seqs(std::span<const sim::Event> events) {
-  std::vector<std::uint64_t> seqs;
-  for (const sim::Event& e : events) seqs.push_back(e.seq);
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
-}
-
-std::vector<std::uint64_t> pending_seqs(const Queue& q) {
-  return sorted_seqs(q.pending());
+std::vector<std::uint32_t> indices(const std::vector<sim::Event>& events) {
+  std::vector<std::uint32_t> out;
+  for (const sim::Event& e : events) out.push_back(e.index);
+  return out;
 }
 
 void expect_same_events(const std::vector<sim::Event>& a,
@@ -138,9 +132,12 @@ TEST(EventQueue, ReusedAfterClearMatchesFreshQueue) {
 }
 
 TEST(EventQueue, RandomOpsMatchSortedReference) {
-  // Differential check of every mutating operation against a plain
-  // vector kept sorted by (time, seq). Times come from a small grid so
-  // ties are frequent and the seq tie-break is exercised throughout.
+  // Differential check of push, pop and copy against a plain vector kept
+  // sorted by (time, seq). Times come from a small grid so ties are
+  // frequent and the seq tie-break is exercised throughout. A copy
+  // replaces the queue now and then, so later operations run on a copy
+  // that may hold a spent root; every 500 steps a drained copy must
+  // match the reference in full.
   const auto key_less = [](const sim::Event& a, const sim::Event& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   };
@@ -156,34 +153,14 @@ TEST(EventQueue, RandomOpsMatchSortedReference) {
                          next_seq++, sim::EventKind::kAccess, index};
       q.push({e.time, 0, e.kind, e.index});
       ref.insert(std::upper_bound(ref.begin(), ref.end(), e, key_less), e);
-    } else if (op < 7) {  // pop
+    } else if (op < 9) {  // pop
       const sim::Event e = q.pop();
       ASSERT_EQ(e.seq, ref.front().seq) << "step " << step;
       ASSERT_EQ(e.index, ref.front().index) << "step " << step;
       ref.erase(ref.begin());
-    } else if (op < 9) {  // remove by seq: a pending one, or one long gone
-      const std::uint64_t seq =
-          rng::uniform_index(gen, 4) == 0
-              ? rng::uniform_index(gen, next_seq)
-              : ref[rng::uniform_index(gen, ref.size())].seq;
-      const auto it = std::find_if(ref.begin(), ref.end(), [seq](const sim::Event& e) {
-        return e.seq == seq;
-      });
-      const std::optional<sim::Event> removed = q.remove(seq);
-      ASSERT_EQ(removed.has_value(), it != ref.end()) << "step " << step;
-      if (removed) {
-        EXPECT_EQ(removed->index, it->index);
-        ref.erase(it);
-      }
-    } else {  // remove by predicate
-      const std::uint64_t residue = rng::uniform_index(gen, 7);
-      const auto pred = [residue](const sim::Event& e) {
-        return e.index % 7 == residue;
-      };
-      const auto kept = std::remove_if(ref.begin(), ref.end(), pred);
-      const auto expected = static_cast<std::size_t>(ref.end() - kept);
-      ref.erase(kept, ref.end());
-      ASSERT_EQ(q.remove_if(pred), expected) << "step " << step;
+    } else {  // continue on a copy
+      const Queue copy = q;
+      q = copy;
     }
     ASSERT_EQ(q.size(), ref.size()) << "step " << step;
     ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
@@ -191,99 +168,74 @@ TEST(EventQueue, RandomOpsMatchSortedReference) {
       ASSERT_EQ(q.top().seq, ref.front().seq) << "step " << step;
       ASSERT_EQ(q.top().index, ref.front().index) << "step " << step;
     }
-    ASSERT_EQ(pending_seqs(q), sorted_seqs(ref)) << "step " << step;
+    if (step % 500 == 0) {
+      Queue copy = q;
+      expect_same_events(drain(copy), ref);
+    }
   }
   expect_same_events(drain(q), ref);
 }
 
 TEST(EventQueue, SpentRootIsInvisible) {
   // pop() leaves the root slot spent until the next push or pop; no
-  // observer may see it. `reference` holds the same events with the
-  // popped one removed by seq, so nothing of it is spent.
-  const auto fill = [](Queue& q) {
-    for (std::uint32_t i = 0; i < 30; ++i) q.push(at((i * 11) % 13, i));
+  // observer may see it. `reference` is pushed the same events except
+  // the popped one, so nothing of it is spent; indices are unique, so
+  // equal index sequences mean equal pop orders.
+  const auto fill = [](Queue& q, std::uint32_t skip) {
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      if (i != skip) q.push(at((i * 11) % 13, i));
+    }
   };
   Queue q;
-  fill(q);
+  fill(q, 30);
   const sim::Event popped = q.pop();
   Queue reference;
-  fill(reference);
-  ASSERT_TRUE(reference.remove(popped.seq).has_value());
+  fill(reference, popped.index);
 
   EXPECT_EQ(q.size(), reference.size());
   EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.top().seq, reference.top().seq);
-  EXPECT_EQ(pending_seqs(q), pending_seqs(reference));
+  EXPECT_EQ(q.top().index, reference.top().index);
 
-  // The model checker copies clusters, and so their queues, by value.
+  // A copy carries the spent root and pops as its source would.
   Queue copy = q;
   Queue copy_reference = reference;
-  expect_same_events(drain(copy), drain(copy_reference));
+  EXPECT_EQ(indices(drain(copy)), indices(drain(copy_reference)));
 
   q.push(at(5.5, 100));
   reference.push(at(5.5, 100));
   EXPECT_EQ(q.size(), reference.size());
-  expect_same_events(drain(q), drain(reference));
+  EXPECT_EQ(q.top().index, reference.top().index);
+  EXPECT_EQ(indices(drain(q)), indices(drain(reference)));
+
+  // A push earlier than everything pending lands in the spent root.
+  Queue early;
+  fill(early, 30);
+  early.pop();
+  early.push(at(-1.0, 200));
+  EXPECT_EQ(early.top().index, 200u);
+  EXPECT_EQ(early.size(), 30u);
+  EXPECT_EQ(early.pop().index, 200u);
 
   Queue single;
   single.push(at(1.0, 1));
   single.pop();
   EXPECT_TRUE(single.empty());
   EXPECT_EQ(single.size(), 0u);
-  EXPECT_TRUE(single.pending().empty());
-
-  // remove_if's predicate sees every pending event once and a spent root
-  // never: msg::Cluster's predicate frees slab slots as it goes.
-  for (const bool spent : {false, true}) {
-    Queue r;
-    Queue r_reference;
-    fill(r);
-    fill(r_reference);
-    if (spent) {
-      ASSERT_TRUE(r_reference.remove(r.pop().seq).has_value());
-    }
-    std::vector<std::uint64_t> seen;
-    const auto pred = [&seen](const sim::Event& e) {
-      seen.push_back(e.seq);
-      return e.index % 3 == 0;
-    };
-    const std::size_t removed = r.remove_if(pred);
-    std::sort(seen.begin(), seen.end());
-    EXPECT_EQ(seen, pending_seqs(r_reference)) << "spent " << spent;
-    EXPECT_EQ(removed, r_reference.remove_if([](const sim::Event& e) {
-                return e.index % 3 == 0;
-              }));
-    expect_same_events(drain(r), drain(r_reference));
-  }
-}
-
-TEST(EventQueue, RemovingAnAbsentSeqChangesNothing) {
-  Queue q;
-  for (std::uint32_t i = 0; i < 40; ++i) q.push(at((i * 13) % 17, i));
-  const std::uint64_t popped = q.pop().seq;
-  const Queue before = q;
-
-  EXPECT_FALSE(q.remove(popped).has_value());  // already fired
-  EXPECT_FALSE(q.remove(40).has_value());      // never stamped
-  EXPECT_EQ(q.remove_if([](const sim::Event&) { return false; }), 0u);
-  const std::span<const sim::Event> now = q.pending();
-  const std::span<const sim::Event> was = before.pending();
-  EXPECT_TRUE(std::equal(now.begin(), now.end(), was.begin(), was.end(),
-                         [](const sim::Event& a, const sim::Event& b) {
-                           return a.seq == b.seq;
-                         }));
-  Queue reference = before;
-  expect_same_events(drain(q), drain(reference));
+  const Queue single_copy = single;
+  EXPECT_TRUE(single_copy.empty());
 }
 
 TEST(EventQueue, CopyPopsIndependentlyOfItsSource) {
-  // The model checker snapshots clusters (and so their queues) by value.
+  // A queue is a value: a cluster or simulator copied by value carries
+  // its queue, and the copy pops and pushes without touching its source.
   Queue source;
   for (std::uint32_t i = 0; i < 50; ++i) source.push(at(1 + (i * 7) % 11, i));
   Queue copy = source;
 
-  ASSERT_TRUE(copy.remove(3).has_value());
+  EXPECT_EQ(copy.pop().index, 0u);
   copy.push(at(0.5, 999));
+  EXPECT_EQ(source.size(), 50u);
+  EXPECT_EQ(source.top().index, 0u);
   source.pop();
   EXPECT_EQ(source.size(), 49u);
   EXPECT_EQ(copy.size(), 50u);
@@ -294,15 +246,21 @@ TEST(EventQueue, CopyPopsIndependentlyOfItsSource) {
   EXPECT_EQ(copy.top().seq, 50u);
 
   const std::vector<sim::Event> from_copy = drain(copy);
-  ASSERT_FALSE(from_copy.empty());
+  ASSERT_EQ(from_copy.size(), 50u);
   EXPECT_EQ(from_copy.front().index, 999u);
   EXPECT_TRUE(std::none_of(from_copy.begin(), from_copy.end(),
-                           [](const sim::Event& e) { return e.seq == 3; }));
+                           [](const sim::Event& e) { return e.index == 500; }));
   const std::vector<sim::Event> from_source = drain(source);
-  EXPECT_EQ(from_source.size(), 50u);
+  ASSERT_EQ(from_source.size(), 50u);
   EXPECT_EQ(from_source.front().index, 500u);
-  EXPECT_TRUE(std::any_of(from_source.begin(), from_source.end(),
-                          [](const sim::Event& e) { return e.seq == 3; }));
+  EXPECT_TRUE(std::none_of(from_source.begin(), from_source.end(),
+                           [](const sim::Event& e) { return e.index == 999; }));
+  // Past the event each added, both drain the same 49 in one order.
+  std::vector<std::uint32_t> rest_of_copy = indices(from_copy);
+  std::vector<std::uint32_t> rest_of_source = indices(from_source);
+  rest_of_copy.erase(rest_of_copy.begin());
+  rest_of_source.erase(rest_of_source.begin());
+  EXPECT_EQ(rest_of_copy, rest_of_source);
 }
 
 } // namespace

@@ -236,10 +236,20 @@ TEST(ModelExplorer, RunTwiceRepeatsTheTraversal) {
   EXPECT_EQ(again.state_capped, first.state_capped);
 }
 
+/// Every field a replayed choice matches an enabled event on.
+std::vector<std::uint64_t> descriptor(const quora::msg::Cluster::ModelEvent& e) {
+  const quora::msg::Message& m = e.message;
+  return {static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
+          static_cast<std::uint64_t>(e.phase), static_cast<std::uint64_t>(m.kind),
+          m.is_write ? 1u : 0u, m.request, m.coordinator, m.sender, m.replier,
+          m.votes, m.version, m.value, m.qr_version, m.qr_r, m.qr_w};
+}
+
 TEST(ModelHooks, EnabledEventsComeInSeqOrder) {
-  // The explorer's DFS order and its per-descriptor occurrence numbering
-  // assume ascending seq. Walk tiny_line's cluster a few steps, firing
-  // the middle enabled event each time so the pending set keeps mixing.
+  // The explorer's DFS order assumes ascending seq, and a replay finds a
+  // recorded event by its descriptor alone, so no two enabled events may
+  // share one. Walk tiny_line's cluster a few steps, firing the middle
+  // enabled event each time so the pending set keeps mixing.
   const Scope scope = quora::model::load_model_file(
       std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
   quora::msg::Cluster::Params params;
@@ -252,10 +262,47 @@ TEST(ModelHooks, EnabledEventsComeInSeqOrder) {
     const std::vector<quora::msg::Cluster::ModelEvent> events =
         cluster.model_enabled_events();
     ASSERT_GE(events.size(), 2u) << "step " << step;
-    for (std::size_t i = 1; i < events.size(); ++i) {
-      EXPECT_LT(events[i - 1].seq, events[i].seq) << "step " << step;
+    std::set<std::vector<std::uint64_t>> descriptors;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(events[i - 1].seq, events[i].seq) << "step " << step;
+      }
+      EXPECT_TRUE(descriptors.insert(descriptor(events[i])).second)
+          << "step " << step << " event " << i;
     }
     ASSERT_TRUE(cluster.model_step_event(events[events.size() / 2].seq));
+  }
+}
+
+TEST(ModelHooks, OnlyEnabledEventsFire) {
+  // A write and a read submitted at tiny_line's site 0 each send a vote
+  // request over link 0 toward site 1 and arm a timer. The read's
+  // request (seq 2) queues behind the write's (seq 0) on that direction,
+  // so it is not enabled: firing it, or any seq never stamped, must
+  // return false and change nothing. Every enabled event fires.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/tiny_line.model");
+  quora::msg::Cluster::Params params;
+  params.model_mode = true;
+  params.spec = scope.chaos.quorum;
+  quora::msg::Cluster cluster(scope.chaos.system->topology, params, 1);
+  cluster.model_submit_access(0, /*is_read=*/false);
+  cluster.model_submit_access(0, /*is_read=*/true);
+  std::set<std::uint64_t> enabled;
+  for (const quora::msg::Cluster::ModelEvent& e : cluster.model_enabled_events()) {
+    enabled.insert(e.seq);
+  }
+  ASSERT_EQ(enabled, (std::set<std::uint64_t>{0, 1, 3}));
+  std::vector<std::uint64_t> before;
+  cluster.model_serialize(before);
+  for (std::uint64_t seq = 0; seq < 8; ++seq) {
+    quora::msg::Cluster copy = cluster;
+    copy.model_rebind();
+    EXPECT_EQ(copy.model_step_event(seq), enabled.count(seq) == 1) << "seq " << seq;
+    if (enabled.count(seq) == 1) continue;
+    std::vector<std::uint64_t> after;
+    copy.model_serialize(after);
+    EXPECT_EQ(after, before) << "seq " << seq;
   }
 }
 
