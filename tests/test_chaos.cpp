@@ -423,6 +423,35 @@ TEST(Chaos, CrashOnCommitImmediateRestartNeverLeavesTheUpSet) {
   EXPECT_GT(count_reason(down, DenyReason::kOriginDown), 0u);
 }
 
+TEST(Chaos, CrashOnCommitRecoveryForksNoFailureProcess) {
+  // A crash-on-commit trigger with a down-time brings its coordinator back
+  // the way a cascade victim comes back: no draw and no rescheduling,
+  // since the site's own Poisson fail/repair chain is still pending. A
+  // recovery that scheduled the next failure itself would add one chain
+  // per trigger, and with a trigger every 10 s about one access in ten
+  // would then find its origin down, against 4.0% with `for 0` triggers.
+  const net::Topology topo = net::make_ring_with_chords(25, 4);
+  Cluster::Params params;
+  params.spec = quorum::QuorumSpec{13, 13};
+  fault::FaultPlan plan;
+  for (int t = 10; t < 1000; t += 10) {
+    plan.arm_crash_on_commit(static_cast<double>(t), fault::kAnySite, 1.0);
+  }
+  Cluster cluster(topo, params, 11);
+  fault::FaultInjector injector(plan, 7);
+  cluster.attach_injector(&injector);
+  cluster.run_until(1000.0);
+
+  ASSERT_GT(cluster.outcomes().size(), 1000u);
+  std::uint64_t origin_down = 0;
+  for (const AccessOutcome& o : cluster.outcomes()) {
+    origin_down += o.deny_reason == DenyReason::kOriginDown;
+  }
+  const double share = static_cast<double>(origin_down) /
+                       static_cast<double>(cluster.outcomes().size());
+  EXPECT_LT(share, 0.06) << origin_down << " of " << cluster.outcomes().size();
+}
+
 TEST(Chaos, RetryExhaustionAbandonsWithinTheAccessBudget) {
   const net::Topology topo = net::make_ring(5);
   fault::FaultPlan plan;
