@@ -1,7 +1,7 @@
 #include "model/explorer.hpp"
 
 #include <algorithm>
-#include <initializer_list>
+#include <array>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -48,21 +48,20 @@ bool same_choice(const Choice& x, const Choice& y) {
   return same_descriptor(x.event, y.event);
 }
 
+/// A transition's sleep-set key: msg::model_hash over its descriptor
+/// words. Keys are compared only for equality and inclusion.
 std::uint64_t descriptor_key(const Choice& c) {
-  std::uint64_t h = msg::kFnvOffset;
-  const auto mix = [&h](std::initializer_list<std::uint64_t> words) {
-    for (const std::uint64_t w : words) h = msg::fnv1a_step(h, w);
-  };
   const Cluster::ModelEvent& e = c.event;
-  mix({static_cast<std::uint64_t>(c.kind), c.index,
-       static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
-       static_cast<std::uint64_t>(e.phase)});
-  if (e.kind == Cluster::ModelEventKind::kDelivery) {
-    const msg::Message& m = e.message;
-    mix({static_cast<std::uint64_t>(m.kind), m.is_write ? 1u : 0u, m.request,
-         m.sender, m.replier, m.version, m.qr_version});
-  }
-  return h;
+  const msg::Message& m = e.message;
+  const std::array<std::uint64_t, 14> words{
+      static_cast<std::uint64_t>(c.kind), c.index,
+      static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
+      static_cast<std::uint64_t>(e.phase),
+      // A delivery's message; the first seven words alone for a timer.
+      static_cast<std::uint64_t>(m.kind), m.is_write ? 1u : 0u, m.request,
+      m.sender, m.replier, m.version, m.qr_version};
+  const bool delivery = e.kind == Cluster::ModelEventKind::kDelivery;
+  return msg::model_hash(std::span(words).first(delivery ? 14 : 7))[0];
 }
 
 } // namespace
@@ -165,10 +164,10 @@ msg::Cluster Explorer::make_cluster() const {
   return Cluster(scope_->chaos.system->topology, params, /*seed=*/1);
 }
 
-void Explorer::enabled_transitions(const msg::Cluster& c,
-                                   std::uint32_t submitted,
-                                   std::uint32_t faulted,
-                                   std::vector<Transition>& out) const {
+void Explorer::enabled_transitions(
+    const msg::Cluster& c, std::uint32_t submitted, std::uint32_t faulted,
+    std::vector<msg::Cluster::ModelEvent>& events,
+    std::vector<Transition>& out) const {
   // Submits and faults lead the list: DFS then tries the schedules that
   // interleave them early in the protocol first, which is where seeded
   // mutations bite — pure delivery permutations come after. Exhaustive
@@ -192,7 +191,7 @@ void Explorer::enabled_transitions(const msg::Cluster& c,
     t.key = 0xFA17ull << 32 | i;
     out.push_back(std::move(t));
   }
-  const std::vector<Cluster::ModelEvent> events = c.model_enabled_events();
+  c.model_enabled_events(events);
   for (const Cluster::ModelEvent& e : events) {
     Transition t;
     t.choice.kind = Choice::Kind::kEvent;
@@ -239,9 +238,9 @@ void Explorer::stored_qr_versions(const msg::Cluster& c,
 
 std::optional<Violation> Explorer::check_state(
     const msg::Cluster& c, std::span<const std::uint64_t> prev_qr,
-    std::span<const std::uint64_t> cur_qr) const {
+    std::span<const std::uint64_t> cur_qr, msg::SafetyScratch& scratch) const {
   Violation v;
-  v.safety = msg::check_safety(c);
+  v.safety = msg::check_safety(c, scratch);
 
   // qr-monotonicity: §2.2 requires stored assignment versions to only
   // ever move forward; a decrease would resurrect a superseded quorum.
@@ -324,7 +323,8 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
   stored_qr_versions(cur, f.qr);
   const std::vector<std::uint64_t>& prev_qr =
       depth == 0 ? f.qr : frames_[depth - 1].qr;
-  if (std::optional<Violation> v = check_state(cur, prev_qr, f.qr)) {
+  if (std::optional<Violation> v =
+          check_state(cur, prev_qr, f.qr, safety_scratch_)) {
     v->trace = path;
     found_ = std::move(v);
     return true;
@@ -336,11 +336,8 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
   f.sleep_keys.clear();
   for (const SleepEntry& z : f.sleep) f.sleep_keys.push_back(z.key);
   std::sort(f.sleep_keys.begin(), f.sleep_keys.end());
-  f.words.clear();
-  cur.model_serialize(f.words);
-  f.words.push_back(f.submitted);
-  f.words.push_back(f.faulted);
-  const VisitedSet::Fingerprint fp = msg::model_hash(f.words);
+  const std::array<std::uint64_t, 2> masks{f.submitted, f.faulted};
+  const VisitedSet::Fingerprint fp = cur.model_fingerprint(masks);
   const std::size_t slot = visited_.find(fp);
   if (visited_.fresh(slot)) {
     ++stats_.unique_states;
@@ -354,7 +351,7 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
   }
   visited_.add(slot, fp, f.sleep_keys);
 
-  enabled_transitions(cur, f.submitted, f.faulted, f.todo);
+  enabled_transitions(cur, f.submitted, f.faulted, f.events, f.todo);
   if (f.todo.empty()) return false;  // quiescent: everything resolved
 
   const auto asleep = [&f](const Transition& t) {
@@ -373,8 +370,19 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
   if (frames_.size() == depth + 1) frames_.emplace_back();
   Frame& child = frames_[depth + 1];
   for (const Transition& t : f.todo) {
-    child.cluster = cur;  // assigns into the slot once it holds a cluster
-    child.cluster->model_rebind();
+    if (&t == &f.todo.back()) {
+      // Nothing reads this depth's state once its last child starts, so
+      // the child takes the object instead of a copy. The object does not
+      // move, so its tracker stays bound to its own network.
+      f.cluster.swap(child.cluster);
+    } else {
+      if (child.cluster) {
+        *child.cluster = cur;
+      } else {
+        child.cluster = std::make_unique<msg::Cluster>(cur);
+      }
+      child.cluster->model_rebind();
+    }
     child.submitted = f.submitted;
     child.faulted = f.faulted;
     apply(*child.cluster, t, child.submitted, child.faulted);
@@ -406,7 +414,7 @@ std::optional<Violation> Explorer::run() {
   frames_.clear();
   found_.reset();
 
-  frames_.emplace_back().cluster = make_cluster();
+  frames_.emplace_back().cluster = std::make_unique<msg::Cluster>(make_cluster());
   frames_[0].cluster->model_rebind();
   std::vector<Choice> path;
   dfs(0, path);
@@ -421,16 +429,18 @@ std::optional<Violation> Explorer::replay(
   std::vector<std::uint64_t> prev_qr;
   std::vector<std::uint64_t> cur_qr;
   stored_qr_versions(c, prev_qr);
+  std::vector<Cluster::ModelEvent> events;
   std::vector<Transition> enabled;
   std::vector<Choice> done;
+  msg::SafetyScratch scratch;
 
-  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr)) {
+  if (std::optional<Violation> v = check_state(c, prev_qr, prev_qr, scratch)) {
     v->trace = done;
     return v;
   }
   for (const Choice& choice : trace) {
     // Resolve the recorded choice in this state; it may no longer apply.
-    enabled_transitions(c, submitted, faulted, enabled);
+    enabled_transitions(c, submitted, faulted, events, enabled);
     const auto t = std::find_if(
         enabled.begin(), enabled.end(),
         [&choice](const Transition& e) { return same_choice(e.choice, choice); });
@@ -438,7 +448,7 @@ std::optional<Violation> Explorer::replay(
     apply(c, *t, submitted, faulted);
     done.push_back(t->choice);
     stored_qr_versions(c, cur_qr);
-    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr)) {
+    if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr, scratch)) {
       v->trace = done;
       return v;
     }

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -124,15 +125,16 @@ private:
   /// The state and buffers of one DFS depth. A depth's slot is refilled
   /// by copy-assignment for each of its states, so the cluster's vectors
   /// and the buffers keep their capacity; the state at depth d stays
-  /// intact while depth d + 1 is rewritten.
+  /// intact while depth d + 1 is rewritten, until d's last transition:
+  /// that child takes d's cluster object itself, and d's slot the child's.
   struct Frame {
-    std::optional<msg::Cluster> cluster;
+    std::unique_ptr<msg::Cluster> cluster;  // null until first filled
     std::uint32_t submitted = 0;            // scope accesses submitted
     std::uint32_t faulted = 0;              // scope fault groups fired
     std::vector<SleepEntry> sleep;          // grows as siblings finish
     std::vector<std::uint64_t> sleep_keys;  // sorted keys of `sleep` on entry
     std::vector<std::uint64_t> qr;          // stored QR version per site
-    std::vector<std::uint64_t> words;       // serialization + the two masks
+    std::vector<msg::Cluster::ModelEvent> events;  // enabled, in seq order
     std::vector<Transition> todo;           // enabled and awake
   };
 
@@ -170,14 +172,17 @@ private:
   };
 
   msg::Cluster make_cluster() const;
+  /// Fills `out`, using `events` for the cluster's enabled events.
   void enabled_transitions(const msg::Cluster& c, std::uint32_t submitted,
                            std::uint32_t faulted,
+                           std::vector<msg::Cluster::ModelEvent>& events,
                            std::vector<Transition>& out) const;
   void apply(msg::Cluster& c, const Transition& t, std::uint32_t& submitted,
              std::uint32_t& faulted) const;
   std::optional<Violation> check_state(
       const msg::Cluster& c, std::span<const std::uint64_t> prev_qr,
-      std::span<const std::uint64_t> cur_qr) const;
+      std::span<const std::uint64_t> cur_qr,
+      msg::SafetyScratch& scratch) const;
   void stored_qr_versions(const msg::Cluster& c,
                           std::vector<std::uint64_t>& out) const;
 
@@ -191,6 +196,7 @@ private:
   VisitedSet visited_;
   /// One per depth reached; a deque, so growing it moves no frame.
   std::deque<Frame> frames_;
+  msg::SafetyScratch safety_scratch_;
 };
 
 } // namespace quora::model

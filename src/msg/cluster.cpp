@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/contracts.hpp"
 #include "rng/distributions.hpp"
@@ -102,6 +103,7 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
     lease_lifetime_ = 1e12;
     params_.max_retries = 0;
     channels_.resize(2 * static_cast<std::size_t>(topo.link_count()));
+    model_sections_.resize(1 + topo.site_count() + channels_.size());
   } else {
     // One attempt's worst-case window: phase 1 plus the commit deadline,
     // with slack. Retries abort the old request id first, so the lease
@@ -243,7 +245,13 @@ void Cluster::schedule(double delay, Kind kind, std::uint32_t index) {
 void Cluster::arm_timer(net::SiteId site, std::uint64_t request, int phase) {
   const Payload timer{{}, site, request, phase};
   if (params_.model_mode) {
-    timers_.push_back(ModelEntry{model_seq_++, timer});
+    const auto after = std::upper_bound(
+        timers_.begin(), timers_.end(), timer,
+        [](const Payload& a, const ModelEntry& b) {
+          return std::tuple(a.target, a.request, a.phase) <
+                 std::tuple(b.payload.target, b.payload.request, b.payload.phase);
+        });
+    timers_.insert(after, ModelEntry{model_seq_++, timer});
     return;
   }
   queue_.push(Event{now_ + params_.phase_timeout, 0, Kind::kTimer, 0,
@@ -291,6 +299,7 @@ void Cluster::send(net::SiteId from, net::LinkId link, const Message& m) {
     // Untimed: a direction's channel order is its delivery order, so no
     // latency is drawn and no injector consulted.
     channels_[dir].push_back(ModelEntry{model_seq_++, delivery});
+    model_touch_channel(dir);
     return;
   }
 
@@ -994,34 +1003,36 @@ void Cluster::apply_fault(const fault::Action& action) {
 }
 
 void Cluster::step(const Event& e) {
-  const double mu_f = params_.config.mu_fail();
-  const double mu_r = params_.config.mu_repair();
   switch (e.kind) {
     case Kind::kSiteFail:
       live_.set_site_up(e.index, false);
       on_site_failed(e.index);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      schedule(rng::exponential(gen_, mu_r), Kind::kSiteRecover, e.index);
+      schedule(rng::exponential(gen_, params_.config.mu_repair()),
+               Kind::kSiteRecover, e.index);
       maybe_cascade(e.index);
       break;
     case Kind::kSiteRecover:
       live_.set_site_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultSite);
-      schedule(rng::exponential(gen_, mu_f), Kind::kSiteFail, e.index);
+      schedule(rng::exponential(gen_, params_.config.mu_fail()),
+               Kind::kSiteFail, e.index);
       break;
     case Kind::kLinkFail:
       live_.set_link_up(e.index, false);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      schedule(rng::exponential(gen_, mu_r), Kind::kLinkRecover, e.index);
+      schedule(rng::exponential(gen_, params_.config.mu_repair()),
+               Kind::kLinkRecover, e.index);
       break;
     case Kind::kLinkRecover:
       live_.set_link_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      schedule(rng::exponential(gen_, mu_f), Kind::kLinkFail, e.index);
+      schedule(rng::exponential(gen_, params_.config.mu_fail()),
+               Kind::kLinkFail, e.index);
       break;
     case Kind::kAccess: {
       const auto origin = static_cast<net::SiteId>(

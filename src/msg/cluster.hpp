@@ -273,8 +273,9 @@ public:
   /// The currently enabled transitions: the head of each direction's
   /// channel — links are FIFO per direction, so a later delivery cannot
   /// overtake it under any timing — and every timer ("the replies were
-  /// slow"). No two share a descriptor. Returned in ascending `seq`, i.e.
-  /// scheduling order.
+  /// slow"). No two share a descriptor. Written to `out` (cleared first)
+  /// in ascending `seq`, i.e. scheduling order.
+  void model_enabled_events(std::vector<ModelEvent>& out) const;
   std::vector<ModelEvent> model_enabled_events() const;
   /// Fire the enabled event with sequence number `seq`. Returns false,
   /// changing nothing, if no enabled event has it.
@@ -286,11 +287,21 @@ public:
   /// Serialize every behaviour-relevant piece of state (liveness, copies,
   /// leases, coordinations, stored assignments, pending-event multiset,
   /// safety-history digest) into `out` — the canonical form two states
-  /// compare equal under. Absolute times are excluded by design.
+  /// compare equal under. Absolute times are excluded by design. The
+  /// stream is the concatenation of the state's sections (see
+  /// model_fingerprint) and the words between them.
   void model_serialize(std::vector<std::uint64_t>& out) const;
-  /// `model_hash` of model_serialize (collision caveat: the visited set
-  /// stores hashes, not states — see docs/MODEL_CHECKING.md).
+  /// The state's 128-bit fingerprint: the `model_hash`es of its sections
+  /// (liveness with the gray cuts, each site's protocol state, each
+  /// direction's channel) folded with the rest of the serialization and
+  /// then `extra` (the explorer's masks). Each section's hash is cached
+  /// and recomputed only after a transition changed the section, so a
+  /// call costs what the last transitions changed. Equal serializations
+  /// give equal fingerprints (collision caveat: the visited set stores
+  /// hashes, not states — see docs/MODEL_CHECKING.md).
   std::array<std::uint64_t, 2> model_fingerprint() const;
+  std::array<std::uint64_t, 2> model_fingerprint(
+      std::span<const std::uint64_t> extra) const;
   /// Fix internal cross-references after a by-value copy: the component
   /// tracker must observe this cluster's network, not the source's. Must
   /// be called on every snapshot/restore copy before use. (Copying a
@@ -467,6 +478,23 @@ private:
   /// phase was superseded — handle_timer would ignore them, so firing one
   /// is a pure no-op transition that only multiplies states.
   void model_purge_dead_timers();
+  /// Model mode's state sections, in model_sections_ order: liveness and
+  /// gray cuts, then one per site, then one per direction's channel. Each
+  /// encoder writes its section's words to `out(word)`.
+  template <class Out> void model_encode_liveness(Out& out) const;
+  template <class Out> void model_encode_site(net::SiteId s, Out& out) const;
+  template <class Out> void model_encode_channel(std::size_t dir, Out& out) const;
+  /// The words between the sections: request counter, committed-version
+  /// multiset, newest install and in-flight count; then the timers.
+  template <class Out> void model_encode_history(Out& out) const;
+  template <class Out> void model_encode_timers(Out& out) const;
+  /// `model_hash` of section `k`'s words, computed afresh.
+  std::array<std::uint64_t, 2> model_section_hash(std::size_t k) const;
+  /// Marks a section changed; the next fingerprint rehashes it.
+  void model_touch_site(net::SiteId s) { model_sections_[1 + s].dirty = true; }
+  void model_touch_channel(std::size_t dir) {
+    model_sections_[1 + topo_->site_count() + dir].dirty = true;
+  }
   void handle_access(net::SiteId origin);
   /// The RNG-free tail of handle_access: allocate a request id, record
   /// the oracle verdict, and start coordinating. The Poisson driver draws
@@ -551,10 +579,22 @@ private:
     Payload payload;
   };
   /// Model mode's pending events: one FIFO channel per direction, indexed
-  /// like fifo_clock_, and the armed timers, both in scheduling order.
+  /// like fifo_clock_, in scheduling order, and the armed timers in
+  /// (owner, request, phase) order, the order they are serialized in.
   QUORA_SHARD_LOCAL(msg) std::vector<std::vector<ModelEntry>> channels_;
   QUORA_SHARD_LOCAL(msg) std::vector<ModelEntry> timers_;
   QUORA_SHARD_LOCAL(msg) std::uint64_t model_seq_ = 0;
+  /// Model mode's fingerprint cache: one hash per state section, and
+  /// whether a transition has changed the section since it was hashed.
+  /// A transition marks what it may change: a delivery or timer its
+  /// target site and the channel it pops, a send its channel, a submit
+  /// its origin and a fault everything (docs/MODEL_CHECKING.md argues
+  /// why that is all). Copies carry the cache with the state.
+  struct ModelSection {
+    std::array<std::uint64_t, 2> hash{};
+    bool dirty = true;
+  };
+  QUORA_SHARD_LOCAL(msg) mutable std::vector<ModelSection> model_sections_;
 
   QUORA_SHARD_LOCAL(msg) std::vector<Copy> copies_;
   QUORA_SHARD_LOCAL(msg) std::vector<Lease> leases_;
@@ -618,13 +658,12 @@ constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) noexcept {
   return h;
 }
 
-/// The model checker's 128-bit fingerprint of a canonical word stream,
-/// hashed a word at a time. Each 64-bit half runs two multiply-xorshift
-/// lanes, over the even and the odd words, and folds them with the
-/// stream's length through a full-avalanche finalizer; the halves use
-/// different multipliers. Cluster::model_fingerprint() is this over
-/// model_serialize; the explorer's visited set appends the scope's submit
-/// and fault masks first.
+/// The model checker's 128-bit hash of a canonical word stream, hashed a
+/// word at a time. Each 64-bit half runs two multiply-xorshift lanes,
+/// over the even and the odd words, and folds them with the stream's
+/// length through a full-avalanche finalizer; the halves use different
+/// multipliers. This is the one-shot form of the lanes that
+/// Cluster::model_fingerprint() streams each state section through.
 std::array<std::uint64_t, 2> model_hash(std::span<const std::uint64_t> words);
 
 } // namespace quora::msg

@@ -54,7 +54,7 @@ const char* invariant_summary(Invariant code) noexcept {
   return "unknown";
 }
 
-SafetyReport check_safety(const SafetyView& view) {
+SafetyReport check_safety(const SafetyView& view, SafetyScratch& scratch) {
   static const std::vector<AccessOutcome> kNoOutcomes;
   static const std::vector<Cluster::CommitRecord> kNoCommits;
   static const std::vector<Cluster::InstallRecord> kNoInstalls;
@@ -69,7 +69,8 @@ SafetyReport check_safety(const SafetyView& view) {
   // Commits and installs are appended in decision order, so a prefix
   // maximum over each gives "newest thing decided by time t" via one
   // binary search per access.
-  std::vector<std::uint64_t> commit_prefix_max(commits.size());
+  std::vector<std::uint64_t>& commit_prefix_max = scratch.commit_prefix_max;
+  commit_prefix_max.resize(commits.size());
   for (std::size_t i = 0; i < commits.size(); ++i) {
     commit_prefix_max[i] = commits[i].version;
     if (i > 0) {
@@ -80,7 +81,8 @@ SafetyReport check_safety(const SafetyView& view) {
       }
     }
   }
-  std::vector<std::uint64_t> install_prefix_max(installs.size());
+  std::vector<std::uint64_t>& install_prefix_max = scratch.install_prefix_max;
+  install_prefix_max.resize(installs.size());
   for (std::size_t i = 0; i < installs.size(); ++i) {
     install_prefix_max[i] = installs[i].version;
     if (i > 0) {
@@ -142,8 +144,8 @@ SafetyReport check_safety(const SafetyView& view) {
 
   // Invariant 2: committed versions are unique — two concurrent writes
   // never both commit the same version number.
-  std::vector<std::uint64_t> versions;
-  versions.reserve(commits.size());
+  std::vector<std::uint64_t>& versions = scratch.versions;
+  versions.clear();
   for (const Cluster::CommitRecord& c : commits) versions.push_back(c.version);
   std::sort(versions.begin(), versions.end());
   for (std::size_t i = 1; i < versions.size(); ++i) {
@@ -157,12 +159,22 @@ SafetyReport check_safety(const SafetyView& view) {
   return report;
 }
 
-SafetyReport check_safety(const Cluster& cluster) {
+SafetyReport check_safety(const SafetyView& view) {
+  SafetyScratch scratch;
+  return check_safety(view, scratch);
+}
+
+SafetyReport check_safety(const Cluster& cluster, SafetyScratch& scratch) {
   SafetyView view;
   view.outcomes = &cluster.outcomes();
   view.commits = &cluster.commits();
   view.installs = &cluster.installs();
-  return check_safety(view);
+  return check_safety(view, scratch);
+}
+
+SafetyReport check_safety(const Cluster& cluster) {
+  SafetyScratch scratch;
+  return check_safety(cluster, scratch);
 }
 
 } // namespace quora::msg

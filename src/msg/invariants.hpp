@@ -73,15 +73,26 @@ struct SafetyView {
   const std::vector<Cluster::InstallRecord>* installs = nullptr;
 };
 
+/// check_safety's working buffers. An auditor that runs it at every
+/// state, as the model checker does, keeps one, so a check allocates only
+/// while the histories grow past what an earlier state held.
+struct SafetyScratch {
+  std::vector<std::uint64_t> commit_prefix_max;
+  std::vector<std::uint64_t> install_prefix_max;
+  std::vector<std::uint64_t> versions;
+};
+
 /// Audit the given histories against the protocol's safety invariants
 /// (see `Invariant` above). These must hold under ANY fault plan —
 /// partitions, flaps, message drop/duplication, crash-during-commit.
 ///
 /// Liveness (availability) is deliberately NOT checked here — fault plans
 /// are free to make the system unavailable; they must never make it wrong.
+SafetyReport check_safety(const SafetyView& view, SafetyScratch& scratch);
 SafetyReport check_safety(const SafetyView& view);
 
-/// Convenience overload auditing a finished (or paused) run of `cluster`.
+/// Convenience overloads auditing a finished (or paused) run of `cluster`.
+SafetyReport check_safety(const Cluster& cluster, SafetyScratch& scratch);
 SafetyReport check_safety(const Cluster& cluster);
 
 } // namespace quora::msg

@@ -216,6 +216,29 @@ TEST(ModelExplorer, ShippedSweepScopeTraversalIsPinned) {
   EXPECT_EQ(without.stats().unique_states, 9347u);
 }
 
+TEST(ModelExplorer, Line4ScopeTraversalIsPinned) {
+  // The largest shipped scope: 4 sites and 6 channels, so it exercises
+  // the fingerprint cache over more sections than tiny_line. Counts
+  // recorded before the cache existed.
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/line4.model");
+  Explorer with_dpor(scope, Options{/*dpor=*/true});
+  ASSERT_FALSE(with_dpor.run().has_value());
+  const quora::model::Stats& s = with_dpor.stats();
+  EXPECT_EQ(s.explored, 471286u);
+  EXPECT_EQ(s.unique_states, 147908u);
+  EXPECT_EQ(s.transitions, 471285u);
+  EXPECT_EQ(s.visited_hits, 261939u);
+  EXPECT_EQ(s.sleep_pruned, 360315u);
+  EXPECT_EQ(s.max_depth_seen, 35u);
+  EXPECT_FALSE(s.depth_capped);
+
+  Explorer without(scope, Options{/*dpor=*/false});
+  ASSERT_FALSE(without.run().has_value());
+  EXPECT_EQ(without.stats().explored, 585765u);
+  EXPECT_EQ(without.stats().unique_states, 147908u);
+}
+
 TEST(ModelExplorer, RunTwiceRepeatsTheTraversal) {
   // run() starts afresh: no visited state, snapshot or sleep set of the
   // first run may reach the second.
@@ -432,6 +455,104 @@ TEST(ModelHooks, FingerprintSeparatesNearbyStates) {
       }
     }
   }
+}
+
+/// One transition of a model walk, replayable on a fresh cluster: an
+/// access submission, a fault group or the enabled event with `seq`
+/// (a fresh cluster given the same transitions stamps the same seqs).
+struct WalkStep {
+  enum class Kind { kSubmit, kFault, kEvent } kind = Kind::kEvent;
+  std::size_t index = 0;  // into the scope's accesses or fault groups
+  std::uint64_t seq = 0;
+};
+
+void apply_step(quora::msg::Cluster& cluster, const Scope& scope,
+                const WalkStep& step) {
+  switch (step.kind) {
+    case WalkStep::Kind::kSubmit: {
+      const quora::fault::Action& a = scope.accesses[step.index];
+      cluster.model_submit_access(a.site, a.is_read);
+      return;
+    }
+    case WalkStep::Kind::kFault:
+      for (const quora::fault::Action& a : scope.faults[step.index]) {
+        cluster.model_apply_fault(a);
+      }
+      return;
+    case WalkStep::Kind::kEvent:
+      ASSERT_TRUE(cluster.model_step_event(step.seq));
+      return;
+  }
+}
+
+/// Walks `scope`'s cluster (mutations off) the way the explorer moves
+/// between states and, at every state, compares its cached fingerprint
+/// with that of a fresh cluster replayed to the same state, which hashes
+/// every section once. Both accesses are submitted first, and the first
+/// fault group fires before the 4th event. At each state one child is a
+/// copy-assignment of it into a slot that holds an older state, firing
+/// the first enabled event; then the state's own object fires the events
+/// round-robin by position, as the explorer's last child takes its
+/// parent's object. Returns the number of states compared.
+std::size_t expect_cache_matches_replays(const char* file) {
+  using quora::msg::Cluster;
+  const Scope scope = quora::model::load_model_file(
+      std::string(QUORA_EXAMPLES_DIR) + "/model/" + file);
+  const quora::net::Topology& topo = scope.chaos.system->topology;
+  Cluster::Params params;
+  params.model_mode = true;
+  params.spec = scope.chaos.quorum;
+  const auto from_scratch = [&](const std::vector<WalkStep>& path) {
+    Cluster fresh(topo, params, 1);
+    for (const WalkStep& step : path) apply_step(fresh, scope, step);
+    return fresh.model_fingerprint();
+  };
+
+  Cluster cur(topo, params, 1);
+  Cluster slot(topo, params, 1);
+  std::vector<WalkStep> path;
+  std::size_t compared = 0;
+  const auto expect_matches = [&](const Cluster& c, const std::vector<WalkStep>& at) {
+    EXPECT_EQ(c.model_fingerprint(), from_scratch(at))
+        << file << ": state " << compared << " at depth " << at.size();
+    ++compared;
+  };
+  const auto advance = [&](const WalkStep& step) {
+    apply_step(cur, scope, step);
+    path.push_back(step);
+    expect_matches(cur, path);
+  };
+
+  expect_matches(cur, path);
+  for (std::size_t i = 0; i < scope.accesses.size(); ++i) {
+    advance(WalkStep{WalkStep::Kind::kSubmit, i, 0});
+  }
+  for (std::size_t fired = 0;; ++fired) {
+    if (fired == 3 && !scope.faults.empty()) {
+      advance(WalkStep{WalkStep::Kind::kFault, 0, 0});
+    }
+    const std::vector<Cluster::ModelEvent> events = cur.model_enabled_events();
+    if (events.empty()) break;
+
+    slot = cur;
+    slot.model_rebind();
+    std::vector<WalkStep> branch = path;
+    branch.push_back(WalkStep{WalkStep::Kind::kEvent, 0, events.front().seq});
+    apply_step(slot, scope, branch.back());
+    expect_matches(slot, branch);
+
+    advance(WalkStep{WalkStep::Kind::kEvent, 0, events[fired % events.size()].seq});
+  }
+  return compared;
+}
+
+TEST(ModelHooks, CachedFingerprintMatchesFromScratch) {
+  // model_fingerprint rehashes only the sections a transition marked, so
+  // a missing mark merges states that differ in a stale section. Contract
+  // builds check every explored state; this checks a Release build.
+  EXPECT_GE(expect_cache_matches_replays("tiny_line.model"), 20u);
+  EXPECT_GE(expect_cache_matches_replays("mutation_crash_cleanup.model"), 40u);
+  EXPECT_GE(expect_cache_matches_replays("line4.model"), 20u);
 }
 
 TEST(ModelExplorer, StateBudgetCapsAreReported) {
