@@ -21,7 +21,7 @@ ComponentTracker::ComponentTracker(const LiveNetwork& live) : live_(&live) {
   member_offsets_.reserve(n + 1);
   bfs_stack_.reserve(n);
   unassigned_words_.reserve(bits::word_count(n));
-  frontier_words_.reserve(bits::word_count(n));
+  frontier_words_.resize(bits::word_count(n));
   member_words_scratch_.reserve(bits::word_count(n));
   remap_.reserve(max_labels);
   votes_scratch_.reserve(n);
@@ -94,13 +94,10 @@ void ComponentTracker::apply_link_up(net::LinkId l) const {
 
 bool ComponentTracker::loss_splits_nothing(net::LinkId l) const {
   const net::Link& e = live_->topology().link(l);
-  const std::span<const bits::Word> up = live_->site_up_words();
-  const auto is_up = [&up](net::SiteId s) {
-    return ((up[s / bits::kWordBits] >> (s % bits::kWordBits)) & 1u) != 0;
-  };
+  const bits::Word* up = live_->site_up_words().data();
   // A down endpoint was down all along (had it gone down in the window,
   // its own delta would force the rebuild), so the link carried nothing.
-  if (!is_up(e.a) || !is_up(e.b)) return true;
+  if (!bits::test_bit(up, e.a) || !bits::test_bit(up, e.b)) return true;
   if (!live_->has_dense_adjacency()) return false;
   // A shared up neighbour over up links keeps a and b joined.
   const bits::Word* row_a = live_->adjacency_row(e.a);
@@ -151,103 +148,64 @@ void ComponentTracker::sync_slow() const {
               /*full=*/0);
 }
 
-void ComponentTracker::rebuild_dense() const {
-  // Word-parallel frontier scan over the network's masked adjacency rows.
-  // `unassigned` starts as the up-site bitset; each frontier site ORs its
-  // row (link-exists AND link-up) masked by `unassigned` into the next
-  // frontier, so one AND tests 64 neighbors at once. Roots are taken in
-  // ascending site order (lowest set bit of the lowest non-zero word), so
-  // labels come out numbered by lowest member site — the same canonical
-  // numbering compact() produces.
+// The grow helpers are inline: a rebuild calls one per component, and on a
+// sparse graph with many cut links most components are a site or two.
+inline ComponentTracker::Tally ComponentTracker::grow_dense(
+    net::SiteId root, std::int32_t comp) const {
+  // Word-parallel frontier scan over the network's masked adjacency rows:
+  // each frontier site ORs its row (link-exists AND link-up) masked by
+  // `unassigned` into the next frontier, so one AND tests 64 neighbors,
+  // and the level's size is a popcount.
   const net::Topology& topo = live_->topology();
   const std::size_t words = live_->adjacency_row_words();
-  const std::span<const bits::Word> site_up = live_->site_up_words();
-
-  unassigned_words_.assign(site_up.begin(), site_up.end());
-  frontier_words_.assign(words, 0);
-
   const bool uniform = topo.has_uniform_votes();
-  const net::Vote uniform_vote = uniform ? topo.uniform_vote() : 0;
-
-  for (std::size_t w = 0; w < words; ++w) {
-    while (unassigned_words_[w] != 0) {
-      const auto root = static_cast<net::SiteId>(
-          w * bits::kWordBits +
-          static_cast<std::uint32_t>(std::countr_zero(unassigned_words_[w])));
-      const auto comp = static_cast<std::int32_t>(comp_votes_.size());
-      net::Vote votes = uniform ? 0 : topo.votes(root);
-      std::uint32_t size = 1;
-
-      label_[root] = comp;
-      unassigned_words_[w] &= unassigned_words_[w] - 1;
-      bfs_stack_.clear();
-      bfs_stack_.push_back(root);
-      while (!bfs_stack_.empty()) {
-        std::fill(frontier_words_.begin(), frontier_words_.end(),
-                  bits::Word{0});
-        for (const net::SiteId s : bfs_stack_)
-          bits::or_and(frontier_words_.data(), live_->adjacency_row(s),
-                       unassigned_words_.data(), words);
-        bfs_stack_.clear();
-        for (std::size_t i = 0; i < words; ++i) {
-          bits::Word m = frontier_words_[i];
-          if (m == 0) continue;
-          unassigned_words_[i] &= ~m;
-          size += static_cast<std::uint32_t>(std::popcount(m));
-          while (m != 0) {
-            const auto s = static_cast<net::SiteId>(
-                i * bits::kWordBits +
-                static_cast<std::uint32_t>(std::countr_zero(m)));
-            m &= m - 1;
-            label_[s] = comp;
-            if (!uniform) votes += topo.votes(s);
-            bfs_stack_.push_back(s);
-          }
-        }
-      }
-      if (uniform) votes = uniform_vote * size;
-      comp_votes_.push_back(votes);
-      comp_size_.push_back(size);
-      max_votes_ = std::max(max_votes_, votes);
-    }
+  Tally t{uniform ? 0 : topo.votes(root), 1};
+  bfs_stack_.assign(1, root);
+  while (!bfs_stack_.empty()) {
+    std::fill(frontier_words_.begin(), frontier_words_.end(), bits::Word{0});
+    for (const net::SiteId s : bfs_stack_)
+      bits::or_and(frontier_words_.data(), live_->adjacency_row(s),
+                   unassigned_words_.data(), words);
+    bfs_stack_.clear();
+    for (std::size_t i = 0; i < words; ++i)
+      unassigned_words_[i] &= ~frontier_words_[i];
+    t.size += static_cast<std::uint32_t>(bits::count(frontier_words_));
+    bits::for_each_bit(frontier_words_, [&](std::size_t i) {
+      const auto s = static_cast<net::SiteId>(i);
+      label_[s] = comp;
+      if (!uniform) t.votes += topo.votes(s);
+      bfs_stack_.push_back(s);
+    });
   }
+  // Under a uniform assignment votes collapse to size * v.
+  if (uniform) t.votes = topo.uniform_vote() * t.size;
+  return t;
 }
 
-void ComponentTracker::rebuild_sparse() const {
-  // O(V+E) BFS over the topology's CSR adjacency — the fallback for
-  // topologies too large for quadratic adjacency rows. Liveness still
-  // reads the byte shim: per-element probes gain nothing from packing.
+inline ComponentTracker::Tally ComponentTracker::grow_sparse(
+    net::SiteId root, std::int32_t comp) const {
+  // O(V+E) BFS over the topology's CSR adjacency. Links are probed one
+  // byte at a time; one bit of `unassigned` tells whether a neighbour is
+  // up and not yet labelled.
   const net::Topology& topo = live_->topology();
-  const std::uint32_t n = topo.site_count();
-  const std::uint8_t* site_up = live_->site_up_flags().data();
   const std::uint8_t* link_up = live_->link_up_flags().data();
-
-  for (net::SiteId root = 0; root < n; ++root) {
-    if (!site_up[root] || label_[root] != kNoComponent) continue;
-    const auto comp = static_cast<std::int32_t>(comp_votes_.size());
-    net::Vote votes = 0;
-    std::uint32_t size = 0;
-
-    bfs_stack_.clear();
-    bfs_stack_.push_back(root);
-    label_[root] = comp;
-    while (!bfs_stack_.empty()) {
-      const net::SiteId s = bfs_stack_.back();
-      bfs_stack_.pop_back();
-      votes += topo.votes(s);
-      ++size;
-      for (const net::Topology::Edge& e : topo.neighbors(s)) {
-        if (!link_up[e.link]) continue;
-        if (!site_up[e.neighbor]) continue;
-        if (label_[e.neighbor] != kNoComponent) continue;
-        label_[e.neighbor] = comp;
-        bfs_stack_.push_back(e.neighbor);
-      }
+  bits::Word* unassigned = unassigned_words_.data();
+  net::Vote votes = 0;
+  std::uint32_t size = 0;
+  bfs_stack_.assign(1, root);
+  while (!bfs_stack_.empty()) {
+    const net::SiteId s = bfs_stack_.back();
+    bfs_stack_.pop_back();
+    votes += topo.votes(s);
+    ++size;
+    for (const net::Topology::Edge& e : topo.neighbors(s)) {
+      if (!link_up[e.link] || !bits::test_bit(unassigned, e.neighbor)) continue;
+      bits::set_bit(unassigned, e.neighbor, false);
+      label_[e.neighbor] = comp;
+      bfs_stack_.push_back(e.neighbor);
     }
-    comp_votes_.push_back(votes);
-    comp_size_.push_back(size);
-    max_votes_ = std::max(max_votes_, votes);
   }
+  return Tally{votes, size};
 }
 
 void ComponentTracker::build_member_csr() const {
@@ -289,13 +247,30 @@ void ComponentTracker::rebuild() const {
   // dense graphs (complete-101: one row AND tests 64 neighbors) and loses
   // badly on deep narrow ones (ring-101: ~n/2 levels of whole-bitset
   // work for 2 real neighbors each), so require m >= n^2/64.
-  const std::uint64_t n_sites = live_->topology().site_count();
-  const bool dense_pays =
-      64ull * live_->topology().link_count() >= n_sites * n_sites;
-  if (live_->has_dense_adjacency() && dense_pays)
-    rebuild_dense();
-  else
-    rebuild_sparse();
+  const std::uint64_t n_sites = topo.site_count();
+  const bool dense = live_->has_dense_adjacency() &&
+                     64ull * topo.link_count() >= n_sites * n_sites;
+
+  // `unassigned` starts as the up-site bitset and loses each site as a
+  // component claims it. Roots are taken in ascending site order (lowest
+  // set bit of the lowest non-zero word), so labels come out numbered by
+  // lowest member site, the same canonical numbering compact() produces.
+  const std::span<const bits::Word> up = live_->site_up_words();
+  unassigned_words_.assign(up.begin(), up.end());
+  for (std::size_t w = 0; w < unassigned_words_.size(); ++w) {
+    while (unassigned_words_[w] != 0) {
+      const auto root = static_cast<net::SiteId>(
+          w * bits::kWordBits +
+          static_cast<std::uint32_t>(std::countr_zero(unassigned_words_[w])));
+      const auto comp = static_cast<std::int32_t>(comp_votes_.size());
+      unassigned_words_[w] &= unassigned_words_[w] - 1;
+      label_[root] = comp;
+      const Tally t = dense ? grow_dense(root, comp) : grow_sparse(root, comp);
+      comp_votes_.push_back(t.votes);
+      comp_size_.push_back(t.size);
+      max_votes_ = std::max(max_votes_, t.votes);
+    }
+  }
 
   for (std::size_t i = 0; i < comp_votes_.size(); ++i)
     parent_.push_back(static_cast<std::int32_t>(i));
@@ -409,8 +384,7 @@ std::span<const bits::Word> ComponentTracker::member_words(
   member_words_scratch_.assign(bits::word_count(live_->topology().site_count()),
                                bits::Word{0});
   for (const net::SiteId s : members(label))
-    member_words_scratch_[s / bits::kWordBits] |= bits::Word{1}
-                                                  << (s % bits::kWordBits);
+    bits::set_bit(member_words_scratch_.data(), s);
   return member_words_scratch_;
 }
 

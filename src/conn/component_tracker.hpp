@@ -46,16 +46,16 @@ inline constexpr std::int32_t kNoComponent = -1;
 /// (and to every link loss on sparse ones such as rings). Steady-state
 /// refreshes perform zero heap allocations.
 ///
-/// The rebuild itself comes in two flavors, selected by the network:
+/// A rebuild claims sites from one `unassigned` bitset (a copy of
+/// `site_up_words`), taking roots in ascending site order, and grows each
+/// component in one of two flavors:
 ///
-///  - **dense** (site count within `LiveNetwork::kDenseAdjacencyMaxSites`):
-///    a word-parallel frontier scan over the network's masked adjacency
-///    rows. Each frontier site contributes one `next |= row & unassigned`
-///    pass over packed 64-bit words — 64 neighbor-liveness tests per AND —
-///    and component sizes are tallied by popcount over the harvested
-///    words (votes collapse to popcount * v under a uniform assignment).
-///  - **sparse** (larger topologies): the original O(V+E) BFS over the
-///    topology's CSR adjacency.
+///  - **dense** (dense rows kept and m >= n^2/64): a word-parallel
+///    frontier scan over the masked adjacency rows, one `next |= row &
+///    unassigned` pass per frontier site (64 neighbor tests per AND);
+///    sizes come from popcounts, and so do votes under a uniform assignment.
+///  - **sparse** (otherwise): a BFS over the CSR adjacency, where one bit
+///    of `unassigned` tells whether a neighbour is up and not yet labelled.
 ///
 /// Both flavors produce identical labelings: components numbered by
 /// lowest member site in ascending order, member lists ascending by site
@@ -150,8 +150,14 @@ private:
   // --alloc-check` verifies at runtime.
   void sync_slow() const;
   QUORA_ALLOC_OK void rebuild() const;
-  QUORA_ALLOC_OK void rebuild_dense() const;
-  QUORA_ALLOC_OK void rebuild_sparse() const;
+  struct Tally {  // votes and sites of one component
+    net::Vote votes = 0;
+    std::uint32_t size = 0;
+  };
+  /// Grow component `comp` from `root` (labelled and claimed), claiming
+  /// its other sites from unassigned_words_; returns its totals.
+  QUORA_ALLOC_OK Tally grow_dense(net::SiteId root, std::int32_t comp) const;
+  QUORA_ALLOC_OK Tally grow_sparse(net::SiteId root, std::int32_t comp) const;
   QUORA_ALLOC_OK void build_member_csr() const;
   QUORA_ALLOC_OK void compact() const;
   QUORA_ALLOC_OK void apply_site_up(net::SiteId s) const;
@@ -173,7 +179,7 @@ private:
   mutable std::vector<net::SiteId> member_storage_;  // grouped by component
   mutable std::vector<std::size_t> member_offsets_;  // CSR over member_storage_
   mutable std::vector<net::SiteId> bfs_stack_;
-  mutable std::vector<bits::Word> unassigned_words_;   // dense-rebuild scratch
+  mutable std::vector<bits::Word> unassigned_words_;   // rebuild scratch
   mutable std::vector<bits::Word> frontier_words_;     // dense-rebuild scratch
   mutable std::vector<bits::Word> member_words_scratch_;
   mutable std::vector<std::int32_t> remap_;          // compaction scratch

@@ -2,32 +2,37 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace quora::conn {
 
 LiveNetwork::LiveNetwork(const net::Topology& topo)
     : topo_(&topo),
-      site_up_(topo.site_count(), 1),
       link_up_(topo.link_count(), 1),
       site_words_(bits::word_count(topo.site_count()), 0),
-      up_sites_(topo.site_count()),
       journal_(kJournalCapacity) {
-  // All-up initial state: set bits [0, count) and leave tail bits zero —
-  // consumers popcount whole words and must never see ghost elements.
-  for (std::uint32_t s = 0; s < topo.site_count(); ++s)
-    set_word_bit(site_words_, s, true);
-
   if (topo.site_count() > 0 && topo.site_count() <= kDenseAdjacencyMaxSites) {
     row_words_ = bits::word_count(topo.site_count());
-    const std::size_t total = row_words_ * topo.site_count();
-    topo_rows_.assign(total, 0);
-    for (const net::Link& e : topo.links()) {
-      topo_rows_[e.a * row_words_ + e.b / bits::kWordBits] |=
-          bits::Word{1} << (e.b % bits::kWordBits);
-      topo_rows_[e.b * row_words_ + e.a / bits::kWordBits] |=
-          bits::Word{1} << (e.a % bits::kWordBits);
-    }
-    adj_rows_ = topo_rows_;  // every link starts up
+    adj_rows_.resize(row_words_ * topo.site_count());
+  }
+  fill_all_up();
+}
+
+void LiveNetwork::site_out_of_range() {
+  throw std::out_of_range("LiveNetwork: site id out of range");
+}
+
+void LiveNetwork::fill_all_up() {
+  // Set bits [0, count) and leave tail bits zero: consumers popcount
+  // whole words and must never see ghost elements.
+  std::fill(site_words_.begin(), site_words_.end(), bits::Word{0});
+  for (net::SiteId s = 0; s < topo_->site_count(); ++s)
+    bits::set_bit(site_words_.data(), s);
+  std::fill(adj_rows_.begin(), adj_rows_.end(), bits::Word{0});
+  if (row_words_ == 0) return;
+  for (const net::Link& e : topo_->links()) {
+    bits::set_bit(adj_rows_.data() + e.a * row_words_, e.b);
+    bits::set_bit(adj_rows_.data() + e.b * row_words_, e.a);
   }
 }
 
@@ -42,11 +47,8 @@ std::optional<net::SiteId> LiveNetwork::first_up_site() const noexcept {
 }
 
 bool LiveNetwork::set_site_up(net::SiteId s, bool up) {
-  std::uint8_t& flag = site_up_.at(s);
-  if ((flag != 0) == up) return false;
-  flag = up ? 1 : 0;
-  set_word_bit(site_words_, s, up);
-  up_sites_ += up ? 1u : -1u;
+  if (is_site_up(s) == up) return false;
+  bits::set_bit(site_words_.data(), s, up);
   journal(up ? DeltaKind::kSiteUp : DeltaKind::kSiteDown, s);
   return true;
 }
@@ -59,49 +61,28 @@ bool LiveNetwork::set_link_up(net::LinkId l, bool up) {
     // A link flip touches exactly two row bits; the rows stay an exact
     // mirror of "link exists AND link up" with no rebuild.
     const net::Link& e = topo_->link(l);
-    const bits::Word ma = bits::Word{1} << (e.a % bits::kWordBits);
-    const bits::Word mb = bits::Word{1} << (e.b % bits::kWordBits);
-    bits::Word& row_ab = adj_rows_[e.a * row_words_ + e.b / bits::kWordBits];
-    bits::Word& row_ba = adj_rows_[e.b * row_words_ + e.a / bits::kWordBits];
-    if (up) {
-      row_ab |= mb;
-      row_ba |= ma;
-    } else {
-      row_ab &= ~mb;
-      row_ba &= ~ma;
-    }
+    bits::set_bit(adj_rows_.data() + e.a * row_words_, e.b, up);
+    bits::set_bit(adj_rows_.data() + e.b * row_words_, e.a, up);
   }
   journal(up ? DeltaKind::kLinkUp : DeltaKind::kLinkDown, l);
   return true;
 }
 
 void LiveNetwork::reset_all_up() {
-  bool changed = false;
-  for (auto& f : site_up_) {
-    if (!f) {
-      f = 1;
-      changed = true;
-    }
-  }
+  bool changed = up_site_count() != topo_->site_count();
   for (auto& f : link_up_) {
     if (!f) {
       f = 1;
       changed = true;
     }
   }
-  if (changed) {
-    // Re-derive the packed state wholesale; cheaper than itemizing and the
-    // bulk path is off the per-event hot path anyway.
-    std::fill(site_words_.begin(), site_words_.end(), bits::Word{0});
-    for (std::uint32_t s = 0; s < topo_->site_count(); ++s)
-      set_word_bit(site_words_, s, true);
-    if (row_words_ != 0)
-      std::copy(topo_rows_.begin(), topo_rows_.end(), adj_rows_.begin());
-  }
-  up_sites_ = topo_->site_count();
-  // One version bump for the whole compound change, exactly as before the
-  // journal existed; kBulk tells replayers to re-derive rather than merge.
-  if (changed) journal(DeltaKind::kBulk, 0);
+  // One version bump for the whole compound change, and none when nothing
+  // changed; kBulk tells replayers to re-derive rather than merge. The
+  // packed state is re-derived wholesale: cheaper than itemizing, and the
+  // bulk path is off the per-event hot path anyway.
+  if (!changed) return;
+  fill_all_up();
+  journal(DeltaKind::kBulk, 0);
 }
 
 } // namespace quora::conn

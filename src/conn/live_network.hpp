@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -20,22 +21,21 @@ namespace quora::conn {
 /// actually changes state bumps `version()`, which downstream caches
 /// (`ComponentTracker`) key on.
 ///
-/// Site up/down state is stored as packed 64-bit bitset words
-/// (`site_up_words`) so consumers can test 64 sites per AND and find the
-/// first up site by bit scan. Link state lives in the masked adjacency
-/// rows below. One-byte-per-element flag arrays for sites and links are
-/// maintained in lockstep and remain available through
-/// `site_up_flags`/`link_up_flags` — a shim for consumers that index per
-/// element.
+/// Each piece of liveness is stored once. Site up/down state is a packed
+/// 64-bit bitset (`site_up_words`), so consumers can test 64 sites per
+/// AND, count up sites by popcount and find the first up site by bit
+/// scan. Link up/down state is one byte per link (`link_up_flags`),
+/// because every link reader probes it one link at a time.
 ///
 /// For topologies up to `kDenseAdjacencyMaxSites` sites the network also
-/// maintains *masked adjacency rows*: row `a` is a site-indexed bitset
-/// whose bit `b` is set iff link {a, b} exists AND that link is up (site
-/// liveness is deliberately not baked in; consumers AND rows against
-/// `site_up_words` themselves). A link flip updates exactly two bits, and
-/// the component tracker's rebuild becomes a word-parallel frontier scan
-/// over these rows. Larger topologies skip the rows (quadratic bits) and
-/// fall back to the CSR adjacency walk.
+/// keeps *masked adjacency rows*, the component rebuild's index over the
+/// link store: row `a` is a site-indexed bitset whose bit `b` is set iff
+/// link {a, b} exists AND that link is up (site liveness is deliberately
+/// not baked in; consumers AND rows against `site_up_words` themselves).
+/// A link flip updates the byte and exactly two row bits, and the
+/// component tracker's rebuild becomes a word-parallel frontier scan over
+/// the rows. Larger topologies skip the rows (quadratic bits) and fall
+/// back to the CSR adjacency walk.
 ///
 /// Alongside the version counter, a ring journal records *what* each
 /// version bump changed. Consumers that fell at most `kJournalCapacity`
@@ -77,18 +77,32 @@ public:
 
   const net::Topology& topology() const noexcept { return *topo_; }
 
-  bool is_site_up(net::SiteId s) const { return site_up_.at(s) != 0; }
+  /// Both throw std::out_of_range for an id outside the topology.
+  bool is_site_up(net::SiteId s) const {
+    if (s >= topo_->site_count()) site_out_of_range();
+    return bits::test_bit(site_words_.data(), s);
+  }
   bool is_link_up(net::LinkId l) const { return link_up_.at(l) != 0; }
 
-  /// Raw up/down flags (1 = up), for consumers that walk the whole
+  /// Raw link up/down flags (1 = up), for consumers that walk the whole
   /// topology and cannot afford per-element bounds checks.
-  std::span<const std::uint8_t> site_up_flags() const noexcept { return site_up_; }
   std::span<const std::uint8_t> link_up_flags() const noexcept { return link_up_; }
 
   /// Packed site liveness bitset (bit i of word i/64 = site i up). Bits
   /// at and above site_count() are always zero.
   std::span<const bits::Word> site_up_words() const noexcept {
     return site_words_;
+  }
+
+  /// Site liveness as a lazy read-only range of flags (1 = up) over
+  /// `site_up_words`, kept for the benchmark harness's network recorder;
+  /// it must not outlive the network.
+  auto site_up_flags() const {
+    return std::views::iota(net::SiteId{0}, topo_->site_count()) |
+           std::views::transform([this](net::SiteId s) {
+             return static_cast<std::uint8_t>(
+                 bits::test_bit(site_words_.data(), s));
+           });
   }
 
   /// True when the dense masked adjacency rows are maintained (site count
@@ -119,7 +133,9 @@ public:
   /// initial state before each batch). Journaled as one `kBulk` delta.
   void reset_all_up();
 
-  std::uint32_t up_site_count() const noexcept { return up_sites_; }
+  std::uint32_t up_site_count() const noexcept {
+    return static_cast<std::uint32_t>(bits::count(site_words_));
+  }
   /// Lowest-numbered operational site, or nullopt when every site is
   /// down: the deterministic install origin of the adaptive loop.
   std::optional<net::SiteId> first_up_site() const noexcept;
@@ -142,23 +158,15 @@ private:
     ++version_;
     journal_[version_ & kJournalMask] = Delta{kind, index};
   }
-  void set_word_bit(std::vector<bits::Word>& words, std::uint32_t i,
-                    bool on) noexcept {
-    const bits::Word mask = bits::Word{1} << (i % bits::kWordBits);
-    if (on)
-      words[i / bits::kWordBits] |= mask;
-    else
-      words[i / bits::kWordBits] &= ~mask;
-  }
+  [[noreturn]] static void site_out_of_range();
+  /// Sets every site bit and rebuilds the dense rows from the topology.
+  void fill_all_up();
 
   const net::Topology* topo_;
-  std::vector<std::uint8_t> site_up_;  // byte shim, kept in lockstep
   std::vector<std::uint8_t> link_up_;
   std::vector<bits::Word> site_words_;
   std::size_t row_words_ = 0;          // 0 = dense rows disabled
   std::vector<bits::Word> adj_rows_;   // masked by link liveness
-  std::vector<bits::Word> topo_rows_;  // static topology rows, for resets
-  std::uint32_t up_sites_ = 0;
   std::uint64_t version_ = 0;
   static constexpr std::uint64_t kJournalMask = kJournalCapacity - 1;
   std::vector<Delta> journal_;

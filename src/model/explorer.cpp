@@ -41,20 +41,12 @@ bool same_descriptor(const Cluster::ModelEvent& x, const Cluster::ModelEvent& y)
          a.qr_version == b.qr_version && a.qr_r == b.qr_r && a.qr_w == b.qr_w;
 }
 
-/// True when a recorded choice names this enabled transition.
-bool same_choice(const Choice& x, const Choice& y) {
-  if (x.kind != y.kind) return false;
-  if (x.kind != Choice::Kind::kEvent) return x.index == y.index;
-  return same_descriptor(x.event, y.event);
-}
-
-/// A transition's sleep-set key: msg::model_hash over its descriptor
-/// words. Keys are compared only for equality and inclusion.
-std::uint64_t descriptor_key(const Choice& c) {
-  const Cluster::ModelEvent& e = c.event;
+/// An event transition's sleep-set key: msg::model_hash over its
+/// descriptor words. Keys are compared only for equality and inclusion.
+std::uint64_t descriptor_key(const Cluster::ModelEvent& e) {
   const msg::Message& m = e.message;
   const std::array<std::uint64_t, 14> words{
-      static_cast<std::uint64_t>(c.kind), c.index,
+      static_cast<std::uint64_t>(Choice::Kind::kEvent), 0,
       static_cast<std::uint64_t>(e.kind), e.target, e.index, e.request,
       static_cast<std::uint64_t>(e.phase),
       // A delivery's message; the first seven words alone for a timer.
@@ -175,54 +167,49 @@ void Explorer::enabled_transitions(
   out.clear();
   for (std::uint32_t i = 0; i < scope_->accesses.size(); ++i) {
     if ((submitted >> i) & 1u) continue;
-    Transition t;
-    t.choice.kind = Choice::Kind::kSubmit;
-    t.choice.index = i;
-    t.global = true;
-    t.key = 0xACCE55ull << 32 | i;
-    out.push_back(std::move(t));
+    out.push_back(Transition{Choice::Kind::kSubmit, i, 0xACCE55ull << 32 | i,
+                             0, true});
   }
   for (std::uint32_t i = 0; i < scope_->faults.size(); ++i) {
     if ((faulted >> i) & 1u) continue;
-    Transition t;
-    t.choice.kind = Choice::Kind::kFault;
-    t.choice.index = i;
-    t.global = true;
-    t.key = 0xFA17ull << 32 | i;
-    out.push_back(std::move(t));
+    out.push_back(Transition{Choice::Kind::kFault, i, 0xFA17ull << 32 | i, 0,
+                             true});
   }
   c.model_enabled_events(events);
-  for (const Cluster::ModelEvent& e : events) {
-    Transition t;
-    t.choice.kind = Choice::Kind::kEvent;
-    t.choice.event = e;
-    t.site = e.target;
-    t.key = descriptor_key(t.choice);
-    out.push_back(std::move(t));
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    out.push_back(Transition{Choice::Kind::kEvent, i,
+                             descriptor_key(events[i]), events[i].target,
+                             false});
   }
 }
 
-void Explorer::apply(msg::Cluster& c, const Transition& t,
+Choice Explorer::as_choice(const Transition& t,
+                           std::span<const msg::Cluster::ModelEvent> events) {
+  if (t.kind == Choice::Kind::kEvent) return Choice{t.kind, 0, events[t.index]};
+  return Choice{t.kind, t.index, {}};
+}
+
+void Explorer::apply(msg::Cluster& c, const Choice& choice,
                      std::uint32_t& submitted, std::uint32_t& faulted) const {
-  switch (t.choice.kind) {
+  switch (choice.kind) {
     case Choice::Kind::kEvent: {
-      const bool fired = c.model_step_event(t.choice.event.seq);
+      const bool fired = c.model_step_event(choice.event.seq);
       QUORA_PRECONDITION(fired, "enabled event vanished before firing");
       break;
     }
     case Choice::Kind::kSubmit: {
-      const fault::Action& a = scope_->accesses[t.choice.index];
+      const fault::Action& a = scope_->accesses[choice.index];
       c.model_submit_access(a.site, a.is_read);
-      submitted |= 1u << t.choice.index;
+      submitted |= 1u << choice.index;
       break;
     }
     case Choice::Kind::kFault:
       // A fault step is atomic: every action in the group fires before
       // the next transition is chosen (e.g. `crash S for 0` = down+up).
-      for (const fault::Action& a : scope_->faults[t.choice.index]) {
+      for (const fault::Action& a : scope_->faults[choice.index]) {
         c.model_apply_fault(a);
       }
-      faulted |= 1u << t.choice.index;
+      faulted |= 1u << choice.index;
       break;
   }
 }
@@ -385,7 +372,8 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
     }
     child.submitted = f.submitted;
     child.faulted = f.faulted;
-    apply(*child.cluster, t, child.submitted, child.faulted);
+    path.push_back(as_choice(t, f.events));
+    apply(*child.cluster, path.back(), child.submitted, child.faulted);
     ++stats_.transitions;
 
     // Sleep entries independent of t stay asleep in the child; a
@@ -396,7 +384,6 @@ bool Explorer::dfs(std::size_t depth, std::vector<Choice>& path) {
       if (!dependent) child.sleep.push_back(z);
     }
 
-    path.push_back(t.choice);
     if (dfs(depth + 1, path)) return true;
     path.pop_back();
     if (stats_.state_capped) return false;
@@ -438,15 +425,18 @@ std::optional<Violation> Explorer::replay(
     v->trace = done;
     return v;
   }
-  for (const Choice& choice : trace) {
+  for (const Choice& recorded : trace) {
     // Resolve the recorded choice in this state; it may no longer apply.
     enabled_transitions(c, submitted, faulted, events, enabled);
     const auto t = std::find_if(
-        enabled.begin(), enabled.end(),
-        [&choice](const Transition& e) { return same_choice(e.choice, choice); });
+        enabled.begin(), enabled.end(), [&](const Transition& e) {
+          if (e.kind != recorded.kind) return false;
+          if (e.kind != Choice::Kind::kEvent) return e.index == recorded.index;
+          return same_descriptor(events[e.index], recorded.event);
+        });
     if (t == enabled.end()) return std::nullopt;
-    apply(c, *t, submitted, faulted);
-    done.push_back(t->choice);
+    done.push_back(as_choice(*t, events));
+    apply(c, done.back(), submitted, faulted);
     stored_qr_versions(c, cur_qr);
     if (std::optional<Violation> v = check_state(c, prev_qr, cur_qr, scratch)) {
       v->trace = done;

@@ -109,8 +109,11 @@ public:
   std::vector<Choice> minimize(const Violation& seed) const;
 
 private:
+  /// An enabled transition; a kEvent names its event by position in the
+  /// depth's `events` buffer, and as_choice() copies it out for the path.
   struct Transition {
-    Choice choice;            // kEvent: choice.event.seq is the live handle
+    Choice::Kind kind = Choice::Kind::kEvent;
+    std::uint32_t index = 0;  // kSubmit / kFault: alphabet; kEvent: events
     std::uint64_t key = 0;    // sleep-set / covering identity (content hash)
     net::SiteId site = 0;     // dependence site for kEvent
     bool global = false;      // kSubmit / kFault: dependent with everything
@@ -177,7 +180,10 @@ private:
                            std::uint32_t faulted,
                            std::vector<msg::Cluster::ModelEvent>& events,
                            std::vector<Transition>& out) const;
-  void apply(msg::Cluster& c, const Transition& t, std::uint32_t& submitted,
+  /// The recorded form of `t`, whose events buffer is `events`.
+  static Choice as_choice(const Transition& t,
+                          std::span<const msg::Cluster::ModelEvent> events);
+  void apply(msg::Cluster& c, const Choice& choice, std::uint32_t& submitted,
              std::uint32_t& faulted) const;
   std::optional<Violation> check_state(
       const msg::Cluster& c, std::span<const std::uint64_t> prev_qr,

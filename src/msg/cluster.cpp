@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -13,15 +14,6 @@
 
 namespace quora::msg {
 namespace {
-
-/// Deterministic formatting helper for event-log lines.
-template <std::size_t N, typename... Args>
-void logf(fault::EventLog* log, double t, char (&buf)[N], const char* fmt,
-          Args... args) {
-  if (log == nullptr) return;
-  std::snprintf(buf, N, fmt, args...);
-  log->record(t, buf);
-}
 
 /// The flood a message belongs to: phase 1 (votes), 2 (commit), 3 (abort).
 int flood_phase(Message::Kind kind) {
@@ -145,6 +137,7 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
 
   if (params_.model_mode) return;  // no Poisson background events
 
+  down_holds_.assign(topo.site_count(), 0);
   const double mu_f = params_.config.mu_fail();
   for (net::SiteId s = 0; s < topo.site_count(); ++s) {
     schedule(rng::exponential(gen_, mu_f), Kind::kSiteFail, s);
@@ -440,10 +433,9 @@ void Cluster::submit_access(net::SiteId origin, bool is_read) {
     out.qr_version = qr_.stored(origin).version;
     out.oracle_granted = oracle;
     record_outcome(out, request);
-    char buf[160];
-    logf(log_, now_, buf, "decide id=%llu origin=%u %s denied reason=%s",
-         static_cast<unsigned long long>(request), origin,
-         is_read ? "read" : "write", deny_reason_name(out.deny_reason));
+    log_event("decide id=%llu origin=%u %s denied reason=%s",
+              static_cast<unsigned long long>(request), origin,
+              is_read ? "read" : "write", deny_reason_name(out.deny_reason));
     return;
   }
 
@@ -559,10 +551,9 @@ void Cluster::retry(net::SiteId coordinator, std::uint64_t old_request) {
                params_.backoff_jitter * gen_.next_double();
   }
 
-  char buf[160];
-  logf(log_, now_, buf, "retry id=%llu origin=%u attempt=%u next=%llu",
-       static_cast<unsigned long long>(old_request), coordinator, p.attempt,
-       static_cast<unsigned long long>(request));
+  log_event("retry id=%llu origin=%u attempt=%u next=%llu",
+            static_cast<unsigned long long>(old_request), coordinator,
+            p.attempt, static_cast<unsigned long long>(request));
 
   pending_[coordinator].emplace_back(request, std::move(p));
   queue_.push(Event{now_ + backoff, 0, Kind::kRetry, 0,
@@ -603,14 +594,13 @@ void Cluster::decide(net::SiteId coordinator, std::uint64_t request,
     QUORA_METRIC_RECORD(obs_phase1_latency_, now_ - p.obs_attempt_start);
   })
 
-  char buf[200];
-  logf(log_, now_, buf,
-       "decide id=%llu origin=%u %s %s reason=%s qrv=%llu v=%llu attempt=%u",
-       static_cast<unsigned long long>(request), coordinator,
-       p.is_read ? "read" : "write", granted ? "granted" : "denied",
-       deny_reason_name(out.deny_reason),
-       static_cast<unsigned long long>(out.qr_version),
-       static_cast<unsigned long long>(out.version), p.attempt);
+  log_event(
+      "decide id=%llu origin=%u %s %s reason=%s qrv=%llu v=%llu attempt=%u",
+      static_cast<unsigned long long>(request), coordinator,
+      p.is_read ? "read" : "write", granted ? "granted" : "denied",
+      deny_reason_name(out.deny_reason),
+      static_cast<unsigned long long>(out.qr_version),
+      static_cast<unsigned long long>(out.version), p.attempt);
 
   const bool abort_write = !p.is_read && !granted;
   pending_[coordinator].erase(it);
@@ -719,12 +709,10 @@ void Cluster::handle_delivery(net::LinkId link, const Payload& delivery) {
         // ran under: the access must not proceed. (We already adopted the
         // newer assignment above; fresh accesses use it.)
         ++stale_rejections_;
-        char buf[160];
-        logf(log_, now_, buf,
-             "stale-reject id=%llu coord=%u coord_qrv=%llu seen_qrv=%llu",
-             static_cast<unsigned long long>(m.request), here,
-             static_cast<unsigned long long>(p->qr_version),
-             static_cast<unsigned long long>(m.qr_version));
+        log_event("stale-reject id=%llu coord=%u coord_qrv=%llu seen_qrv=%llu",
+                  static_cast<unsigned long long>(m.request), here,
+                  static_cast<unsigned long long>(p->qr_version),
+                  static_cast<unsigned long long>(m.qr_version));
         decide(here, m.request, false, DenyReason::kStaleAssignment);
         return;
       }
@@ -781,9 +769,8 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
   const std::optional<double> down_for =
       injector_->take_crash_on_commit(coordinator);
   if (!down_for) return false;
-  char buf[120];
-  logf(log_, now_, buf, "crash-on-commit coord=%u id=%llu down_for=%.6f",
-       coordinator, static_cast<unsigned long long>(request), *down_for);
+  log_event("crash-on-commit coord=%u id=%llu down_for=%.6f",
+            coordinator, static_cast<unsigned long long>(request), *down_for);
   QUORA_TRACE(trace_, obs::EventKind::kFaultInject, coordinator, request, 0,
               obs::kFaultSite);
   live_.set_site_up(coordinator, false);
@@ -793,6 +780,7 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
     // The site's own Poisson fail/repair chain is still pending, so it
     // comes back without a draw or a rescheduled failure, as a cascade
     // victim does.
+    ++down_holds_[coordinator];
     schedule(*down_for, Kind::kFaultRecover, coordinator);
   } else {
     // duration == 0: crash with immediate restart. Volatile coordination
@@ -821,20 +809,44 @@ void Cluster::on_site_failed(net::SiteId s) {
   leases_[s] = Lease{};  // volatile
 }
 
+void Cluster::release_hold(net::SiteId s) {
+  QUORA_ASSERT(down_holds_[s] > 0, "a recovery without a hold");
+  if (--down_holds_[s] != 0) return;
+  live_.set_site_up(s, true);
+  QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, s, 0, 0, obs::kFaultSite);
+}
+
+void Cluster::log_event(const char* fmt, ...) {
+  if (log_ == nullptr) return;
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list again;
+  va_copy(again, args);
+  // A line longer than the first guess (a long domain path, say) is
+  // formatted again at the length the first pass measured.
+  std::string line(255, '\0');
+  const int n = std::vsnprintf(line.data(), line.size() + 1, fmt, args);
+  line.resize(static_cast<std::size_t>(std::max(n, 0)));
+  if (n > 255) std::vsnprintf(line.data(), line.size() + 1, fmt, again);
+  va_end(again);
+  va_end(args);
+  log_->record(now_, line);
+}
+
 void Cluster::maybe_cascade(net::SiteId failed) {
   // Legacy plans carry no correlation rules: no draws, so their
   // transcripts stay byte-identical.
   if (injector_ == nullptr || !injector_->has_correlations()) return;
-  char buf[160];
   for (const auto& [victim, down_for] : injector_->correlated_failures(failed)) {
     if (!live_.set_site_up(victim, false)) continue;  // already down
     on_site_failed(victim);
-    logf(log_, now_, buf, "fault correlated site=%u with=%u down_for=%.6f",
-         victim, failed, down_for);
+    log_event("fault correlated site=%u with=%u down_for=%.6f",
+              victim, failed, down_for);
     QUORA_TRACE(trace_, obs::EventKind::kFaultInject, victim, 0, failed,
                 obs::kFaultSite);
     // One level of contagion only: victims recover via kFaultRecover and
     // never cascade themselves, so a rack rule cannot melt the fleet.
+    ++down_holds_[victim];
     schedule(down_for, Kind::kFaultRecover, victim);
   }
 }
@@ -852,12 +864,11 @@ void Cluster::sync_component_copies(net::SiteId origin) {
 
 void Cluster::apply_fault(const fault::Action& action) {
   using K = fault::Action::Kind;
-  char buf[160];
   switch (action.kind) {
     case K::kSiteDown: {
       const bool changed = live_.set_site_up(action.site, false);
       if (changed) on_site_failed(action.site);
-      logf(log_, now_, buf, "fault site-down %u", action.site);
+      log_event("fault site-down %u", action.site);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, action.site, 0, 0,
                   obs::kFaultSite);
       if (changed) maybe_cascade(action.site);
@@ -865,19 +876,19 @@ void Cluster::apply_fault(const fault::Action& action) {
     }
     case K::kSiteUp:
       live_.set_site_up(action.site, true);
-      logf(log_, now_, buf, "fault site-up %u", action.site);
+      log_event("fault site-up %u", action.site);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, action.site, 0, 0,
                   obs::kFaultSite);
       break;
     case K::kLinkDown:
       live_.set_link_up(action.link, false);
-      logf(log_, now_, buf, "fault link-down %u", action.link);
+      log_event("fault link-down %u", action.link);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, action.link, 0, 0,
                   obs::kFaultLink);
       break;
     case K::kLinkUp:
       live_.set_link_up(action.link, true);
-      logf(log_, now_, buf, "fault link-up %u", action.link);
+      log_event("fault link-up %u", action.link);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, action.link, 0, 0,
                   obs::kFaultLink);
       break;
@@ -896,15 +907,15 @@ void Cluster::apply_fault(const fault::Action& action) {
           if (live_.set_link_up(l, false)) ++cut;
         }
       }
-      logf(log_, now_, buf, "fault partition groups=%u cut=%u",
-           static_cast<std::uint32_t>(action.groups.size()), cut);
+      log_event("fault partition groups=%u cut=%u",
+                static_cast<std::uint32_t>(action.groups.size()), cut);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, 0, 0, cut,
                   obs::kFaultPartition);
       break;
     }
     case K::kHeal:
       live_.reset_all_up();
-      logf(log_, now_, buf, "fault heal");
+      log_event("fault heal");
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, 0, 0, 0,
                   obs::kFaultHealAll);
       break;
@@ -912,25 +923,26 @@ void Cluster::apply_fault(const fault::Action& action) {
       for (net::LinkId l = 0; l < topo_->link_count(); ++l) {
         live_.set_link_up(l, true);
       }
-      logf(log_, now_, buf, "fault heal-links");
+      log_event("fault heal-links");
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, 0, 0, 1,
                   obs::kFaultHealAll);
       break;
     case K::kReassign: {
       if (install_assignment(action.site, action.next)) {
-        logf(log_, now_, buf, "fault reassign origin=%u qr=(%u,%u) v=%llu installed",
-             action.site, action.next.q_r, action.next.q_w,
-             static_cast<unsigned long long>(qr_.stored(action.site).version));
+        log_event(
+            "fault reassign origin=%u qr=(%u,%u) v=%llu installed",
+            action.site, action.next.q_r, action.next.q_w,
+            static_cast<unsigned long long>(qr_.stored(action.site).version));
       } else {
-        logf(log_, now_, buf, "fault reassign origin=%u qr=(%u,%u) refused",
-             action.site, action.next.q_r, action.next.q_w);
+        log_event("fault reassign origin=%u qr=(%u,%u) refused",
+                  action.site, action.next.q_r, action.next.q_w);
       }
       break;
     }
     case K::kArmCrashOnCommit:
       injector_->arm_crash_on_commit(action.site, action.duration);
-      logf(log_, now_, buf, "fault arm-crash-on-commit site=%u",
-           action.site);
+      log_event("fault arm-crash-on-commit site=%u",
+                action.site);
       break;
     case K::kDomainDown: {
       // Scripted whole-domain outages do not cascade: the blast radius is
@@ -942,8 +954,8 @@ void Cluster::apply_fault(const fault::Action& action) {
           ++downed;
         }
       }
-      logf(log_, now_, buf, "fault domain-down %s sites=%u",
-           action.domain.c_str(), downed);
+      log_event("fault domain-down %s sites=%u",
+                action.domain.c_str(), downed);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, 0, 0, downed,
                   obs::kFaultSite);
       break;
@@ -953,8 +965,8 @@ void Cluster::apply_fault(const fault::Action& action) {
       for (const net::SiteId s : topo_->sites_in_domain(action.domain)) {
         if (live_.set_site_up(s, true)) ++upped;
       }
-      logf(log_, now_, buf, "fault domain-up %s sites=%u",
-           action.domain.c_str(), upped);
+      log_event("fault domain-up %s sites=%u",
+                action.domain.c_str(), upped);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, 0, 0, upped,
                   obs::kFaultSite);
       break;
@@ -963,22 +975,22 @@ void Cluster::apply_fault(const fault::Action& action) {
       // Regime shifts mutate the parameter in place; only draws made after
       // this instant see the new value, so the run stays deterministic.
       params_.alpha = action.value;
-      logf(log_, now_, buf, "fault set-alpha %.6f", action.value);
+      log_event("fault set-alpha %.6f", action.value);
       break;
     case K::kSetReliability:
       params_.config.reliability = action.value;
-      logf(log_, now_, buf, "fault set-reliability %.6f", action.value);
+      log_event("fault set-reliability %.6f", action.value);
       break;
     case K::kSetRho:
       params_.config.rho = action.value;
-      logf(log_, now_, buf, "fault set-rho %.9f", action.value);
+      log_event("fault set-rho %.9f", action.value);
       break;
     case K::kAccess:
       // Scripted access: deterministic — no Poisson draw, no read/write
       // coin flip — so counterexample replays pin the exact sequence the
       // model checker explored.
-      logf(log_, now_, buf, "fault access origin=%u %s", action.site,
-           action.is_read ? "read" : "write");
+      log_event("fault access origin=%u %s", action.site,
+                action.is_read ? "read" : "write");
       submit_access(action.site, action.is_read);
       break;
     case K::kOneWayDown:
@@ -987,13 +999,13 @@ void Cluster::apply_fault(const fault::Action& action) {
       const net::LinkId l = topo_->find_link(action.site, action.site_b);
       if (l == topo_->link_count()) {
         // audit_chaos flags this statically; at runtime it is a no-op.
-        logf(log_, now_, buf, "fault oneway-%s %u->%u no-link",
-             down ? "down" : "up", action.site, action.site_b);
+        log_event("fault oneway-%s %u->%u no-link",
+                  down ? "down" : "up", action.site, action.site_b);
         break;
       }
       dir_blocked_[direction(l, action.site_b)] = down ? 1 : 0;
-      logf(log_, now_, buf, "fault oneway-%s %u->%u link=%u",
-           down ? "down" : "up", action.site, action.site_b, l);
+      log_event("fault oneway-%s %u->%u link=%u",
+                down ? "down" : "up", action.site, action.site_b, l);
       QUORA_TRACE(trace_,
                   down ? obs::EventKind::kFaultInject : obs::EventKind::kFaultHeal,
                   l, 0, 0, obs::kFaultLink);
@@ -1005,6 +1017,7 @@ void Cluster::apply_fault(const fault::Action& action) {
 void Cluster::step(const Event& e) {
   switch (e.kind) {
     case Kind::kSiteFail:
+      ++down_holds_[e.index];
       live_.set_site_up(e.index, false);
       on_site_failed(e.index);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
@@ -1014,9 +1027,7 @@ void Cluster::step(const Event& e) {
       maybe_cascade(e.index);
       break;
     case Kind::kSiteRecover:
-      live_.set_site_up(e.index, true);
-      QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
-                  obs::kFaultSite);
+      release_hold(e.index);
       schedule(rng::exponential(gen_, params_.config.mu_fail()),
                Kind::kSiteFail, e.index);
       break;
@@ -1064,11 +1075,9 @@ void Cluster::step(const Event& e) {
       break;
     }
     case Kind::kFaultRecover:
-      // A correlated-failure victim comes back. No Poisson rescheduling
-      // and no draw: the site's own fail/repair process runs on.
-      live_.set_site_up(e.index, true);
-      QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
-                  obs::kFaultSite);
+      // A fault down-time ends. No Poisson rescheduling and no draw: the
+      // site's own fail/repair process runs on.
+      release_hold(e.index);
       break;
     case Kind::kAdaptEpoch:
       handle_adapt_epoch();
@@ -1092,7 +1101,6 @@ bool Cluster::install_assignment(net::SiteId origin, quorum::QuorumSpec next) {
 }
 
 void Cluster::handle_adapt_epoch() {
-  char buf[200];
   // Epoch-window availability over the accesses decided since the previous
   // epoch boundary; this is the realized side of the predicted/realized
   // gain ledger.
@@ -1111,8 +1119,8 @@ void Cluster::handle_adapt_epoch() {
   if (adapt_realized_pending_ && window > 0) {
     QUORA_METRIC_RECORD(obs_adapt_realized_gain_,
                         window_avail - adapt_pre_install_avail_);
-    logf(log_, now_, buf, "adapt realized avail=%.6f delta=%+.6f",
-         window_avail, window_avail - adapt_pre_install_avail_);
+    log_event("adapt realized avail=%.6f delta=%+.6f",
+              window_avail, window_avail - adapt_pre_install_avail_);
     adapt_realized_pending_ = false;
   }
 
@@ -1126,32 +1134,30 @@ void Cluster::handle_adapt_epoch() {
         adaptive_->epoch(params_.alpha, current);
     if (d.evaluated) {
       QUORA_METRIC_RECORD(obs_adapt_predicted_gain_, d.predicted_gain);
-      logf(log_, now_, buf,
-           "adapt epoch avail=%.6f cur=(%u,%u) cand=(%u,%u) gain=%+.6f "
-           "streak=%u%s",
-           window_avail, current.q_r, current.q_w, d.spec.q_r, d.spec.q_w,
-           d.predicted_gain, d.streak, d.feasible ? "" : " infeasible");
+      log_event("adapt epoch avail=%.6f cur=(%u,%u) cand=(%u,%u) gain=%+.6f "
+                "streak=%u%s",
+                window_avail, current.q_r, current.q_w, d.spec.q_r, d.spec.q_w,
+                d.predicted_gain, d.streak, d.feasible ? "" : " infeasible");
     } else {
-      logf(log_, now_, buf, "adapt epoch avail=%.6f warming", window_avail);
+      log_event("adapt epoch avail=%.6f warming", window_avail);
     }
     if (d.install) {
       if (install_assignment(origin, d.spec)) {
         QUORA_METRIC_ADD(obs_adapt_installs_, 1);
         adapt_pre_install_avail_ = window_avail;
         adapt_realized_pending_ = true;
-        logf(log_, now_, buf,
-             "adapt install origin=%u qr=(%u,%u) v=%llu predicted=%+.6f",
-             origin, d.spec.q_r, d.spec.q_w,
-             static_cast<unsigned long long>(qr_.stored(origin).version),
-             d.predicted_gain);
+        log_event("adapt install origin=%u qr=(%u,%u) v=%llu predicted=%+.6f",
+                  origin, d.spec.q_r, d.spec.q_w,
+                  static_cast<unsigned long long>(qr_.stored(origin).version),
+                  d.predicted_gain);
       } else {
         QUORA_METRIC_ADD(obs_adapt_refused_, 1);
-        logf(log_, now_, buf, "adapt install origin=%u qr=(%u,%u) refused",
-             origin, d.spec.q_r, d.spec.q_w);
+        log_event("adapt install origin=%u qr=(%u,%u) refused",
+                  origin, d.spec.q_r, d.spec.q_w);
       }
     }
   } else {
-    logf(log_, now_, buf, "adapt epoch skipped: no operational site");
+    log_event("adapt epoch skipped: no operational site");
   }
   schedule(adaptive_->options().epoch_length, Kind::kAdaptEpoch, 0);
 }

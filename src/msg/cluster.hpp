@@ -313,32 +313,23 @@ private:
   /// size and iteration in ascending site order.
   class SiteSet {
     using Word = conn::bits::Word;
-    static constexpr std::size_t kBits = conn::bits::kWordBits;
 
   public:
     /// Adds `s`; false if it was already in the set.
     bool insert(net::SiteId s) {
-      const std::size_t w = s / kBits;
-      if (w >= words_.size()) words_.resize(w + 1, 0);
-      const Word bit = Word{1} << (s % kBits);
-      const bool added = (words_[w] & bit) == 0;
-      words_[w] |= bit;
+      if (s / conn::bits::kWordBits >= words_.size())
+        words_.resize(s / conn::bits::kWordBits + 1, 0);
+      const bool added = !conn::bits::test_bit(words_.data(), s);
+      conn::bits::set_bit(words_.data(), s);
       return added;
     }
     void clear() noexcept { std::fill(words_.begin(), words_.end(), Word{0}); }
-    std::uint64_t size() const noexcept {
-      std::uint64_t n = 0;
-      for (const Word w : words_) n += static_cast<std::uint64_t>(std::popcount(w));
-      return n;
-    }
+    std::uint64_t size() const noexcept { return conn::bits::count(words_); }
     template <class F>
     void for_each(F f) const {
-      for (std::size_t w = 0; w < words_.size(); ++w) {
-        for (Word bits = words_[w]; bits != 0; bits &= bits - 1) {
-          f(static_cast<net::SiteId>(
-              w * kBits + static_cast<std::size_t>(std::countr_zero(bits))));
-        }
-      }
+      conn::bits::for_each_bit(words_, [&f](std::size_t s) {
+        f(static_cast<net::SiteId>(s));
+      });
     }
 
   private:
@@ -405,11 +396,12 @@ private:
     kTimer,
     kFault,   // a fault-plan timeline action (index into the timeline)
     kRetry,   // backoff expired: restart phase 1 for a pending request
-    /// A correlated-failure victim or a crash-on-commit coordinator
-    /// recovers. Unlike kSiteRecover this draws nothing and reschedules
-    /// nothing — the site's own Poisson fail/repair process continues
-    /// independently, so a fault never starts a second one, and legacy
-    /// plans replay byte-identically whether or not correlations exist.
+    /// A correlated-failure victim's or a crash-on-commit coordinator's
+    /// down-time ends. Unlike kSiteRecover this draws nothing and
+    /// reschedules nothing — the site's own Poisson fail/repair process
+    /// continues independently, so a fault never starts a second one, and
+    /// legacy plans replay byte-identically whether or not correlations
+    /// exist. Either recovery closes only its own hold (down_holds_).
     kFaultRecover,
     /// An adaptive estimation epoch (only scheduled when a controller is
     /// attached; draws nothing — the control loop is RNG-free).
@@ -514,6 +506,11 @@ private:
   void record_outcome(const AccessOutcome& out, std::uint64_t request);
   void abort_flood(net::SiteId coordinator, std::uint64_t request);
   void on_site_failed(net::SiteId s);
+  /// Closes one of `s`'s down holds; the last one brings the site back.
+  void release_hold(net::SiteId s);
+  /// Logs one line at now_, formatted like printf and never cut; does
+  /// nothing when no log is attached.
+  [[gnu::format(printf, 2, 3)]] void log_event(const char* fmt, ...);
   /// Consult the injector's correlation rules after `failed` went down and
   /// crash the co-domain victims that fire (skipping already-down sites;
   /// the draw sequence happens regardless — see FaultInjector).
@@ -553,6 +550,11 @@ private:
   QUORA_SHARD_LOCAL(msg) conn::ComponentTracker tracker_;
   QUORA_SHARD_LOCAL(msg) core::QuorumReassignment qr_;
   QUORA_SHARD_LOCAL(msg) rng::Xoshiro256ss gen_;
+  /// Per site, the open holds that keep it down: a background failure until
+  /// its repair, a crash-on-commit or correlated failure until its
+  /// down-time ends. Scripted actions set liveness directly. Empty in
+  /// model mode, which schedules no recovery.
+  std::vector<std::uint32_t> down_holds_;
   fault::FaultInjector* injector_ = nullptr;
   fault::EventLog* log_ = nullptr;
   adapt::AdaptiveController* adaptive_ = nullptr;
@@ -646,17 +648,6 @@ private:
 /// only when the plan ramps `reliability` or `rho` itself; otherwise it
 /// is pushed out past any horizon, so every fault in the log is scripted.
 Cluster::Params chaos_params(const fault::ChaosSpec& spec);
-
-/// FNV-1a's offset basis, and one FNV-1a step over the eight bytes of
-/// `w`, low byte first.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) noexcept {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (w >> (8 * b)) & 0xFFull;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// The model checker's 128-bit hash of a canonical word stream, hashed a
 /// word at a time. Each 64-bit half runs two multiply-xorshift lanes,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -450,6 +451,89 @@ TEST(Chaos, CrashOnCommitRecoveryForksNoFailureProcess) {
   const double share = static_cast<double>(origin_down) /
                        static_cast<double>(cluster.outcomes().size());
   EXPECT_LT(share, 0.06) << origin_down << " of " << cluster.outcomes().size();
+}
+
+TEST(Chaos, OverlappingDownHoldsKeepASiteDownUntilTheLastEnds) {
+  // A crash-on-commit window and the coordinator's own background failure
+  // can overlap; whichever recovery comes first, the site stays down
+  // until the other one has ended too.
+  std::string text =
+      "seed 7\nhorizon 1000\nquorum 13 13\nsites 25\nring\nchords 4\n"
+      "at 0 reliability 0.96\n";
+  for (int t = 10; t < 1000; t += 10) {
+    text += "at " + std::to_string(t) + " crash-on-commit any for 20\n";
+  }
+  std::istringstream in(text);
+  const fault::ChaosSpec spec = fault::load_chaos(in);
+  const net::Topology& topo = spec.system->topology;
+  struct Window {
+    double start = 0.0;
+    double end = 0.0;
+    net::SiteId site = 0;
+  };
+  std::vector<Window> windows;
+  {
+    Cluster cluster(topo, msg::chaos_params(spec), spec.seed);
+    fault::FaultInjector injector(spec.plan, spec.seed);
+    fault::EventLog log;
+    cluster.attach_injector(&injector);
+    cluster.attach_log(&log);
+    cluster.run_until(spec.horizon);
+    for (const std::string& line : log.lines()) {
+      Window w;
+      unsigned site = 0;
+      unsigned long long id = 0;
+      double down_for = 0.0;
+      if (std::sscanf(line.c_str(), "t=%lf crash-on-commit coord=%u id=%llu down_for=%lf",
+                      &w.start, &site, &id, &down_for) != 4) {
+        continue;
+      }
+      w.site = site;
+      w.end = w.start + down_for;
+      windows.push_back(w);
+    }
+    ASSERT_GT(windows.size(), 50u);
+    // The log prints times to 1e-6: a window's own crash decides the
+    // coordinator's pending accesses at its first instant.
+    std::uint64_t inside = 0;
+    for (const Window& w : windows) {
+      for (const AccessOutcome& o : cluster.outcomes()) {
+        inside += o.origin == w.site && o.decide_time > w.start + 1e-5 &&
+                  o.decide_time < w.end - 1e-5 &&
+                  o.deny_reason != DenyReason::kOriginDown;
+      }
+    }
+    EXPECT_EQ(inside, 0u) << "accesses decided by a coordinator inside its "
+                             "crash-on-commit window";
+  }
+  // The same run again, stopped just after each window ends: a
+  // coordinator whose background repair is still pending stays down.
+  Cluster cluster(topo, msg::chaos_params(spec), spec.seed);
+  fault::FaultInjector injector(spec.plan, spec.seed);
+  cluster.attach_injector(&injector);
+  std::uint64_t held = 0;
+  for (const Window& w : windows) {
+    cluster.run_until(w.end + 1e-5);
+    held += !cluster.network().is_site_up(w.site);
+  }
+  EXPECT_GT(held, 0u) << "no window ended inside a background failure";
+}
+
+TEST(Chaos, LongEventLogLinesAreKeptWhole) {
+  // Domain paths have no length limit, so neither has a log line.
+  net::Topology topo = net::make_ring(4);
+  const std::string path(150, 'r');
+  topo.set_domain(1, path);
+  topo.set_domain(2, path);
+  fault::FaultPlan plan;
+  plan.domain_down(10.0, path);
+  const ChaosRun run = run_chaos(topo, chaos_params(3, 3), plan, 5, 20.0);
+  const std::vector<std::string>& lines = run.log.lines();
+  const auto line = std::find_if(lines.begin(), lines.end(), [](const std::string& l) {
+    return l.find("fault domain-down") != std::string::npos;
+  });
+  ASSERT_NE(line, lines.end());
+  EXPECT_EQ(*line, "t=10.000000 fault domain-down " + path + " sites=2");
 }
 
 TEST(Chaos, RetryExhaustionAbandonsWithinTheAccessBudget) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "conn/bitwords.hpp"
@@ -331,19 +332,51 @@ TEST(ComponentTracker, RandomizedAgreesWithReference) {
 // ---------------------------------------------------------------------------
 // Packed-word liveness state (SoA bitsets) and the word-parallel rebuild.
 
+TEST(Bitwords, PrimitivesAddressOneBitEach) {
+  // Three words, bits set across the word boundaries.
+  std::vector<bits::Word> w(3, 0);
+  const std::vector<std::size_t> on{0, 63, 64, 100, 191};
+  for (const std::size_t i : on) bits::set_bit(w.data(), i);
+  EXPECT_EQ(w[0], (bits::Word{1} << 63) | 1u);
+  EXPECT_EQ(w[1], (bits::Word{1} << 36) | 1u);
+  EXPECT_EQ(w[2], bits::Word{1} << 63);
+  for (std::size_t i = 0; i < 192; ++i) {
+    EXPECT_EQ(bits::test_bit(w.data(), i),
+              std::find(on.begin(), on.end(), i) != on.end())
+        << "bit " << i;
+  }
+  EXPECT_EQ(bits::count(w), on.size());
+  std::vector<std::size_t> walked;
+  bits::for_each_bit(w, [&](std::size_t i) { walked.push_back(i); });
+  EXPECT_EQ(walked, on);
+
+  bits::set_bit(w.data(), 64, false);
+  bits::set_bit(w.data(), 64, false);  // clearing twice changes nothing
+  EXPECT_FALSE(bits::test_bit(w.data(), 64));
+  EXPECT_EQ(w[1], bits::Word{1} << 36);
+  EXPECT_EQ(bits::count(w), on.size() - 1);
+}
+
 TEST(LiveNetwork, WordFlagsMirrorByteFlags) {
+  // Site liveness is stored once, as words; site_up_flags() is a view
+  // that reads them, so it must agree with is_site_up everywhere.
   const net::Topology topo = net::make_erdos_renyi(100, 0.1, 7);
   LiveNetwork live(topo);
   rng::Xoshiro256ss gen(123);
 
   const auto check_mirror = [&] {
+    const auto flags = live.site_up_flags();
+    ASSERT_EQ(flags.size(), topo.site_count());
+    const std::vector<std::uint8_t> copied(flags.begin(), flags.end());
+    for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+      EXPECT_EQ(flags[s] != 0, live.is_site_up(s)) << "site " << s;
+      EXPECT_EQ(copied[s], flags[s]) << "site " << s;
+    }
     const auto site_words = live.site_up_words();
     ASSERT_EQ(site_words.size(), bits::word_count(topo.site_count()));
-    for (net::SiteId s = 0; s < topo.site_count(); ++s) {
-      const bool bit =
-          (site_words[s / 64] >> (s % 64) & 1) != 0;
-      EXPECT_EQ(bit, live.is_site_up(s)) << "site " << s;
-    }
+    EXPECT_EQ(live.up_site_count(),
+              static_cast<std::uint32_t>(
+                  std::count(copied.begin(), copied.end(), std::uint8_t{1})));
     // Tail bits above the site count must stay zero: consumers
     // popcount whole words and must never see ghost elements.
     const std::uint32_t site_tail = topo.site_count() % 64;
@@ -367,6 +400,39 @@ TEST(LiveNetwork, WordFlagsMirrorByteFlags) {
   check_mirror();
   live.reset_all_up();
   check_mirror();
+}
+
+TEST(LiveNetwork, OutOfRangeIdsThrow) {
+  const net::Topology topo = net::make_ring(5);
+  LiveNetwork live(topo);
+  EXPECT_THROW((void)live.is_site_up(5), std::out_of_range);
+  EXPECT_THROW(live.set_site_up(5, false), std::out_of_range);
+  EXPECT_THROW((void)live.is_link_up(5), std::out_of_range);
+  EXPECT_THROW(live.set_link_up(5, false), std::out_of_range);
+  EXPECT_EQ(live.version(), 0u);
+}
+
+TEST(LiveNetwork, ResetAllUpRestoresEveryRowOfAFreshNetwork) {
+  // The rows are rebuilt from the topology on a reset; they must come
+  // back bit for bit as a new network builds them.
+  const net::Topology topo = net::make_erdos_renyi(100, 0.3, 11);
+  LiveNetwork live(topo);
+  ASSERT_TRUE(live.has_dense_adjacency());
+  for (net::LinkId l = 0; l < topo.link_count(); l += 3) live.set_link_up(l, false);
+  for (net::SiteId s = 0; s < topo.site_count(); s += 7) live.set_site_up(s, false);
+  live.reset_all_up();
+
+  const LiveNetwork fresh(topo);
+  const std::size_t words = fresh.adjacency_row_words();
+  ASSERT_EQ(live.adjacency_row_words(), words);
+  for (net::SiteId a = 0; a < topo.site_count(); ++a) {
+    for (std::size_t w = 0; w < words; ++w) {
+      EXPECT_EQ(live.adjacency_row(a)[w], fresh.adjacency_row(a)[w])
+          << "row " << a << " word " << w;
+    }
+  }
+  EXPECT_TRUE(std::ranges::equal(live.site_up_words(), fresh.site_up_words()));
+  EXPECT_TRUE(std::ranges::equal(live.link_up_flags(), fresh.link_up_flags()));
 }
 
 TEST(LiveNetwork, DenseAdjacencyRowsMirrorLinkState) {
@@ -509,8 +575,8 @@ std::vector<int> csr_reference_labels(const LiveNetwork& live) {
 }
 
 TEST(ComponentTracker, SparseRandomizedAgreesWithReference) {
-  // Above the dense ceiling, so this drives rebuild_sparse — the path the
-  // 50k/250k/1M scale points rely on.
+  // Above the dense ceiling, so this drives the sparse rebuild — the path
+  // the 50k/250k/1M scale points rely on.
   const net::Topology topo = net::make_grid(80, 60);  // 4800 sites
   LiveNetwork live(topo);
   const ComponentTracker tracker(live);
@@ -546,7 +612,7 @@ TEST(ComponentTracker, SparseRandomizedAgreesWithReference) {
 
 TEST(ComponentTracker, DenseRandomizedAgreesWithReference) {
   // Both inputs have m >> n^2/64, so this drives the word-parallel
-  // rebuild_dense path under churn: 80 sites (rows span two words) and
+  // dense rebuild under churn: 80 sites (rows span two words) and
   // 300 sites (five words, so or_and runs four or more words per row).
   for (const net::Topology& topo : {net::make_erdos_renyi(80, 0.3, 11),
                                     net::make_erdos_renyi(300, 0.3, 11)}) {

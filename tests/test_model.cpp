@@ -35,6 +35,17 @@ Scope parse(const std::string& text) {
   return quora::model::load_model(in);
 }
 
+/// FNV-1a's offset basis, and one FNV-1a step over the eight bytes of
+/// `w`, low byte first.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) noexcept {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (w >> (8 * b)) & 0xFFull;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 AuditReport audit(const std::string& text) {
   std::istringstream in(text);
   return quora::model::audit_model(in);
@@ -347,7 +358,7 @@ TEST(ModelHooks, SerializationIsPinnedAcrossARestart) {
   for (const quora::fault::Action& a : scope.accesses) {
     cluster.model_submit_access(a.site, a.is_read);
   }
-  std::uint64_t h = quora::msg::kFnvOffset;
+  std::uint64_t h = kFnvOffset;
   std::vector<std::uint64_t> words;
   std::size_t fired = 0;
   for (;;) {
@@ -363,7 +374,7 @@ TEST(ModelHooks, SerializationIsPinnedAcrossARestart) {
     ++fired;
     words.clear();
     cluster.model_serialize(words);
-    for (const std::uint64_t w : words) h = quora::msg::fnv1a_step(h, w);
+    for (const std::uint64_t w : words) h = fnv1a_step(h, w);
   }
   // Both values were recorded on the std::map/std::set encoding that the
   // flat tables replaced.
