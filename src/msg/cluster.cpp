@@ -55,8 +55,9 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
       live_(topo),
       tracker_(live_),
       qr_(topo, params.spec),
-      gen_(seed) {
-  params_.config.validate();
+      gen_(seed),
+      processes_(params.config, sim::FailureProfile{}, topo.site_count(),
+                 topo.link_count()) {
   if (!params_.spec.valid(topo.total_votes())) {
     throw std::invalid_argument("Cluster: invalid quorum assignment");
   }
@@ -138,16 +139,10 @@ Cluster::Cluster(const net::Topology& topo, Params params, std::uint64_t seed)
   if (params_.model_mode) return;  // no Poisson background events
 
   down_holds_.assign(topo.site_count(), 0);
-  const double mu_f = params_.config.mu_fail();
-  for (net::SiteId s = 0; s < topo.site_count(); ++s) {
-    schedule(rng::exponential(gen_, mu_f), Kind::kSiteFail, s);
-  }
-  for (net::LinkId l = 0; l < topo.link_count(); ++l) {
-    schedule(rng::exponential(gen_, mu_f), Kind::kLinkFail, l);
-  }
-  const double interarrival =
-      params_.config.mu_access / static_cast<double>(topo.site_count());
-  schedule(rng::exponential(gen_, interarrival), Kind::kAccess, 0);
+  processes_.start(gen_, [this](sim::EventKind kind, std::uint32_t index,
+                                double delay) {
+    schedule(delay, static_cast<Kind>(kind), index);
+  });
 }
 
 void Cluster::set_trace(obs::TraceRecorder* trace) {
@@ -233,6 +228,12 @@ void Cluster::attach_adaptive(adapt::AdaptiveController* controller) {
 
 void Cluster::schedule(double delay, Kind kind, std::uint32_t index) {
   queue_.push(Event{now_ + delay, 0, kind, index, 0});
+}
+
+void Cluster::schedule_next(const Event& e) {
+  const sim::PoissonProcesses::Next next =
+      processes_.next(static_cast<sim::EventKind>(e.kind), e.index, gen_);
+  schedule(next.delay, static_cast<Kind>(next.kind), e.index);
 }
 
 void Cluster::arm_timer(net::SiteId site, std::uint64_t request, int phase) {
@@ -403,11 +404,6 @@ bool Cluster::lease_vote(net::SiteId site, std::uint64_t request) {
 
 void Cluster::release_lease(net::SiteId site, std::uint64_t request) {
   if (leases_[site].request == request) leases_[site] = Lease{};
-}
-
-void Cluster::handle_access(net::SiteId origin) {
-  const bool is_read = rng::bernoulli(gen_, params_.alpha);
-  submit_access(origin, is_read);
 }
 
 void Cluster::submit_access(net::SiteId origin, bool is_read) {
@@ -773,15 +769,12 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
             coordinator, static_cast<unsigned long long>(request), *down_for);
   QUORA_TRACE(trace_, obs::EventKind::kFaultInject, coordinator, request, 0,
               obs::kFaultSite);
-  live_.set_site_up(coordinator, false);
-  on_site_failed(coordinator);
-  maybe_cascade(coordinator);
+  if (take_down(coordinator)) maybe_cascade(coordinator);
   if (*down_for > 0.0) {
     // The site's own Poisson fail/repair chain is still pending, so it
     // comes back without a draw or a rescheduled failure, as a cascade
     // victim does.
-    ++down_holds_[coordinator];
-    schedule(*down_for, Kind::kFaultRecover, coordinator);
+    hold(coordinator, *down_for);
   } else {
     // duration == 0: crash with immediate restart. Volatile coordination
     // state is gone (the pending request just resolved coordinator-crash)
@@ -794,7 +787,8 @@ bool Cluster::maybe_crash_on_commit(net::SiteId coordinator,
   return true;
 }
 
-void Cluster::on_site_failed(net::SiteId s) {
+bool Cluster::take_down(net::SiteId s) {
+  if (!live_.set_site_up(s, false)) return false;
   // Fail-stop: volatile coordination state is lost; every in-progress
   // coordination this site led resolves as denied right now. (The seeded
   // mutation keeps the coordinations alive across the crash — the bug the
@@ -807,6 +801,12 @@ void Cluster::on_site_failed(net::SiteId s) {
   }
   floods_[s] = FloodWindow{};  // frees the window's memory too
   leases_[s] = Lease{};  // volatile
+  return true;
+}
+
+void Cluster::hold(net::SiteId s, double down_for) {
+  ++down_holds_[s];
+  schedule(down_for, Kind::kFaultRecover, s);
 }
 
 void Cluster::release_hold(net::SiteId s) {
@@ -838,16 +838,14 @@ void Cluster::maybe_cascade(net::SiteId failed) {
   // transcripts stay byte-identical.
   if (injector_ == nullptr || !injector_->has_correlations()) return;
   for (const auto& [victim, down_for] : injector_->correlated_failures(failed)) {
-    if (!live_.set_site_up(victim, false)) continue;  // already down
-    on_site_failed(victim);
+    if (!take_down(victim)) continue;  // already down
     log_event("fault correlated site=%u with=%u down_for=%.6f",
               victim, failed, down_for);
     QUORA_TRACE(trace_, obs::EventKind::kFaultInject, victim, 0, failed,
                 obs::kFaultSite);
     // One level of contagion only: victims recover via kFaultRecover and
     // never cascade themselves, so a rack rule cannot melt the fleet.
-    ++down_holds_[victim];
-    schedule(down_for, Kind::kFaultRecover, victim);
+    hold(victim, down_for);
   }
 }
 
@@ -866,8 +864,7 @@ void Cluster::apply_fault(const fault::Action& action) {
   using K = fault::Action::Kind;
   switch (action.kind) {
     case K::kSiteDown: {
-      const bool changed = live_.set_site_up(action.site, false);
-      if (changed) on_site_failed(action.site);
+      const bool changed = take_down(action.site);
       log_event("fault site-down %u", action.site);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, action.site, 0, 0,
                   obs::kFaultSite);
@@ -949,10 +946,7 @@ void Cluster::apply_fault(const fault::Action& action) {
       // exactly the named domain, so scenarios stay composable.
       std::uint32_t downed = 0;
       for (const net::SiteId s : topo_->sites_in_domain(action.domain)) {
-        if (live_.set_site_up(s, false)) {
-          on_site_failed(s);
-          ++downed;
-        }
+        if (take_down(s)) ++downed;
       }
       log_event("fault domain-down %s sites=%u",
                 action.domain.c_str(), downed);
@@ -978,11 +972,11 @@ void Cluster::apply_fault(const fault::Action& action) {
       log_event("fault set-alpha %.6f", action.value);
       break;
     case K::kSetReliability:
-      params_.config.reliability = action.value;
+      processes_.set_reliability(action.value);
       log_event("fault set-reliability %.6f", action.value);
       break;
     case K::kSetRho:
-      params_.config.rho = action.value;
+      processes_.set_rho(action.value);
       log_event("fault set-rho %.9f", action.value);
       break;
     case K::kAccess:
@@ -1016,42 +1010,37 @@ void Cluster::apply_fault(const fault::Action& action) {
 
 void Cluster::step(const Event& e) {
   switch (e.kind) {
-    case Kind::kSiteFail:
-      ++down_holds_[e.index];
-      live_.set_site_up(e.index, false);
-      on_site_failed(e.index);
+    case Kind::kSiteFail: {
+      ++down_holds_[e.index];  // until its repair, even if already down
+      const bool was_up = take_down(e.index);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      schedule(rng::exponential(gen_, params_.config.mu_repair()),
-               Kind::kSiteRecover, e.index);
-      maybe_cascade(e.index);
+      schedule_next(e);
+      if (was_up) maybe_cascade(e.index);
       break;
+    }
     case Kind::kSiteRecover:
       release_hold(e.index);
-      schedule(rng::exponential(gen_, params_.config.mu_fail()),
-               Kind::kSiteFail, e.index);
+      schedule_next(e);
       break;
     case Kind::kLinkFail:
       live_.set_link_up(e.index, false);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      schedule(rng::exponential(gen_, params_.config.mu_repair()),
-               Kind::kLinkRecover, e.index);
+      schedule_next(e);
       break;
     case Kind::kLinkRecover:
       live_.set_link_up(e.index, true);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      schedule(rng::exponential(gen_, params_.config.mu_fail()),
-               Kind::kLinkFail, e.index);
+      schedule_next(e);
       break;
     case Kind::kAccess: {
+      // A uniform origin, then the read/write label (goldens pin the order).
       const auto origin = static_cast<net::SiteId>(
           rng::uniform_index(gen_, topo_->site_count()));
-      handle_access(origin);
-      const double interarrival =
-          params_.config.mu_access / static_cast<double>(topo_->site_count());
-      schedule(rng::exponential(gen_, interarrival), Kind::kAccess, 0);
+      submit_access(origin, rng::bernoulli(gen_, params_.alpha));
+      schedule_next(e);
       break;
     }
     case Kind::kDelivery:

@@ -385,13 +385,14 @@ private:
     bool held(double now) const { return request != 0 && now < expiry; }
   };
 
-  // Event plumbing (kinds beyond sim::EventKind: deliveries and timers).
+  // Event plumbing: sim::EventKind's five background kinds, by value, so
+  // the shared processes' kinds convert by a cast; then the cluster's own.
   enum class Kind : std::uint8_t {
-    kSiteFail,
-    kSiteRecover,
-    kLinkFail,
-    kLinkRecover,
-    kAccess,
+    kSiteFail = static_cast<std::uint8_t>(sim::EventKind::kSiteFail),
+    kSiteRecover = static_cast<std::uint8_t>(sim::EventKind::kSiteRecover),
+    kLinkFail = static_cast<std::uint8_t>(sim::EventKind::kLinkFail),
+    kLinkRecover = static_cast<std::uint8_t>(sim::EventKind::kLinkRecover),
+    kAccess = static_cast<std::uint8_t>(sim::EventKind::kAccess),
     kDelivery,
     kTimer,
     kFault,   // a fault-plan timeline action (index into the timeline)
@@ -431,6 +432,8 @@ private:
   void step(const Event& e);
   /// Queues a background, recovery or epoch event `delay` from now.
   void schedule(double delay, Kind kind, std::uint32_t index);
+  /// Queues the event that follows background event `e` in its process.
+  void schedule_next(const Event& e);
   /// Arms the deadline of `phase` of coordination `request` at `site`.
   void arm_timer(net::SiteId site, std::uint64_t request, int phase);
   /// Index of the direction of `link` that delivers to `to`, into
@@ -487,11 +490,10 @@ private:
   void model_touch_channel(std::size_t dir) {
     model_sections_[1 + topo_->site_count() + dir].dirty = true;
   }
-  void handle_access(net::SiteId origin);
-  /// The RNG-free tail of handle_access: allocate a request id, record
-  /// the oracle verdict, and start coordinating. The Poisson driver draws
-  /// read/write first; the model checker and scripted `access` fault
-  /// actions pass `is_read` explicitly.
+  /// Submits one access: allocate a request id, record the oracle
+  /// verdict, and start coordinating. Draws nothing: the timed run's
+  /// kAccess draws the origin and the read/write label, the model checker
+  /// and scripted `access` fault actions pass them explicitly.
   void submit_access(net::SiteId origin, bool is_read);
   void start_coordination(net::SiteId origin, std::uint64_t request);
   /// Phase 2 of write `request` once `site`'s collected votes form a write
@@ -505,7 +507,12 @@ private:
   /// grant/deny metric and trace, and the latency and region breakdowns.
   void record_outcome(const AccessOutcome& out, std::uint64_t request);
   void abort_flood(net::SiteId coordinator, std::uint64_t request);
-  void on_site_failed(net::SiteId s);
+  /// Every way a site goes down: takes `s` down and, only if it was up,
+  /// drops its volatile state. Returns whether it was up; a failure of a
+  /// site already down neither cleans up nor cascades.
+  bool take_down(net::SiteId s);
+  /// Holds `s` down for a fault's `down_for`, until its kFaultRecover.
+  void hold(net::SiteId s, double down_for);
   /// Closes one of `s`'s down holds; the last one brings the site back.
   void release_hold(net::SiteId s);
   /// Logs one line at now_, formatted like printf and never cut; does
@@ -513,7 +520,8 @@ private:
   [[gnu::format(printf, 2, 3)]] void log_event(const char* fmt, ...);
   /// Consult the injector's correlation rules after `failed` went down and
   /// crash the co-domain victims that fire (skipping already-down sites;
-  /// the draw sequence happens regardless — see FaultInjector).
+  /// the draw sequence happens regardless — see FaultInjector). Only a
+  /// failure that took its site down cascades.
   void maybe_cascade(net::SiteId failed);
   void apply_fault(const fault::Action& action);
   void handle_adapt_epoch();
@@ -550,6 +558,8 @@ private:
   QUORA_SHARD_LOCAL(msg) conn::ComponentTracker tracker_;
   QUORA_SHARD_LOCAL(msg) core::QuorumReassignment qr_;
   QUORA_SHARD_LOCAL(msg) rng::Xoshiro256ss gen_;
+  /// The timed run's §5.1 processes: the definition sim::Simulator runs.
+  sim::PoissonProcesses processes_;
   /// Per site, the open holds that keep it down: a background failure until
   /// its repair, a crash-on-commit or correlated failure until its
   /// down-time ends. Scripted actions set liveness directly. Empty in

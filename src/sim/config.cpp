@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace quora::sim {
 
@@ -65,6 +66,23 @@ FailureProfile FailureProfile::from_reliabilities(const SimConfig& config,
   for (const double rel : link_rel) profile.link_mu_fail.push_back(convert(rel));
   profile.link_mu_repair.assign(link_rel.size(), repair);
   return profile;
+}
+
+PoissonProcesses::PoissonProcesses(const SimConfig& config, FailureProfile profile,
+                                   std::uint32_t site_count, std::uint32_t link_count)
+    : config_(config),
+      profile_(std::move(profile)),
+      site_count_(site_count),
+      link_count_(link_count) {
+  config_.validate();
+  profile_.validate(site_count, link_count);
+  cache_means();
+}
+
+void PoissonProcesses::cache_means() {
+  mu_fail_ = config_.mu_fail();
+  mu_repair_ = config_.mu_repair();
+  access_mean_ = config_.mu_access / static_cast<double>(site_count_);
 }
 
 void AccessSpec::validate(std::uint32_t site_count) const {

@@ -69,10 +69,6 @@ public:
   bool empty() const noexcept { return size() == 0; }
   std::size_t size() const noexcept { return heap_.size() - spent_; }
 
-  /// Backing-store capacity, exposed so tests can assert that clear()
-  /// genuinely released memory.
-  std::size_t capacity() const noexcept { return heap_.capacity(); }
-
   /// The event pop() would return. Precondition: !empty().
   const E& top() const {
     if (!spent_) return heap_.front();
@@ -88,15 +84,6 @@ public:
     }
     spent_ = true;
     return heap_.front();
-  }
-
-  /// Reset to a freshly-constructed state: the heap's capacity is released
-  /// (not retained) so a cleared queue holds no memory, and the sequence
-  /// counter restarts so replays from a cleared queue stay deterministic.
-  void clear() {
-    std::vector<E>().swap(heap_);
-    next_seq_ = 0;
-    spent_ = false;
   }
 
 private:

@@ -1,7 +1,7 @@
 #include "sim/simulator.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "rng/distributions.hpp"
 
@@ -14,53 +14,17 @@ Simulator::Simulator(const net::Topology& topo, SimConfig config, AccessSpec spe
 Simulator::Simulator(const net::Topology& topo, SimConfig config, AccessSpec spec,
                      FailureProfile profile, std::uint64_t seed, std::uint64_t stream)
     : topo_(&topo),
-      config_(config),
+      processes_(config, std::move(profile), topo.site_count(), topo.link_count()),
       spec_(std::move(spec)),
-      profile_(std::move(profile)),
-      seed_(seed),
-      stream_(stream),
       live_(topo),
       tracker_(live_),
       gen_(seed, stream) {
-  config_.validate();
   spec_.validate(topo.site_count());
-  profile_.validate(topo.site_count(), topo.link_count());
-  access_interarrival_ = config_.mu_access / static_cast<double>(topo.site_count());
   if (!spec_.read_weights.empty()) read_sites_.emplace(spec_.read_weights);
   if (!spec_.write_weights.empty()) write_sites_.emplace(spec_.write_weights);
-  schedule_initial_events();
-}
-
-double Simulator::site_mu_fail(net::SiteId s) const {
-  return profile_.site_mu_fail.empty() ? config_.mu_fail() : profile_.site_mu_fail[s];
-}
-double Simulator::site_mu_repair(net::SiteId s) const {
-  return profile_.site_mu_repair.empty() ? config_.mu_repair()
-                                         : profile_.site_mu_repair[s];
-}
-double Simulator::link_mu_fail(net::LinkId l) const {
-  return profile_.link_mu_fail.empty() ? config_.mu_fail() : profile_.link_mu_fail[l];
-}
-double Simulator::link_mu_repair(net::LinkId l) const {
-  return profile_.link_mu_repair.empty() ? config_.mu_repair()
-                                         : profile_.link_mu_repair[l];
-}
-
-void Simulator::schedule_initial_events() {
-  for (net::SiteId s = 0; s < topo_->site_count(); ++s) {
-    const double mu = site_mu_fail(s);
-    if (std::isfinite(mu)) {
-      queue_.push({now_ + rng::exponential(gen_, mu), 0, EventKind::kSiteFail, s});
-    }
-  }
-  for (net::LinkId l = 0; l < topo_->link_count(); ++l) {
-    const double mu = link_mu_fail(l);
-    if (std::isfinite(mu)) {
-      queue_.push({now_ + rng::exponential(gen_, mu), 0, EventKind::kLinkFail, l});
-    }
-  }
-  queue_.push({now_ + rng::exponential(gen_, access_interarrival_), 0,
-               EventKind::kAccess, 0});
+  processes_.start(gen_, [this](EventKind kind, std::uint32_t index, double delay) {
+    queue_.push({now_ + delay, 0, kind, index});
+  });
 }
 
 void Simulator::set_trace(obs::TraceRecorder* trace) {
@@ -83,15 +47,6 @@ void Simulator::set_access_alpha(double alpha) {
     throw std::invalid_argument("set_access_alpha: alpha must be in [0,1]");
   }
   spec_.alpha = alpha;
-}
-
-void Simulator::reset() {
-  live_.reset_all_up();
-  queue_.clear();
-  now_ = 0.0;
-  counters_ = Counters{};
-  gen_ = rng::Xoshiro256ss(seed_, stream_);  // exact replay of this run
-  schedule_initial_events();
 }
 
 Event Simulator::step_one() {
@@ -119,8 +74,7 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_site_failures_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push({now_ + rng::exponential(gen_, site_mu_repair(e.index)), 0,
-                   EventKind::kSiteRecover, e.index});
+      schedule_next(EventKind::kSiteFail, e.index);
       notify_network(e.kind, e.index);
       break;
     }
@@ -130,8 +84,7 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_site_recoveries_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultSite);
-      queue_.push({now_ + rng::exponential(gen_, site_mu_fail(e.index)), 0,
-                   EventKind::kSiteFail, e.index});
+      schedule_next(EventKind::kSiteRecover, e.index);
       notify_network(e.kind, e.index);
       break;
     }
@@ -141,8 +94,7 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_link_failures_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultInject, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push({now_ + rng::exponential(gen_, link_mu_repair(e.index)), 0,
-                   EventKind::kLinkRecover, e.index});
+      schedule_next(EventKind::kLinkFail, e.index);
       notify_network(e.kind, e.index);
       break;
     }
@@ -152,8 +104,7 @@ void Simulator::handle(const Event& e) {
       QUORA_METRIC_ADD(obs_link_recoveries_, 1);
       QUORA_TRACE(trace_, obs::EventKind::kFaultHeal, e.index, 0, 0,
                   obs::kFaultLink);
-      queue_.push({now_ + rng::exponential(gen_, link_mu_fail(e.index)), 0,
-                   EventKind::kLinkFail, e.index});
+      schedule_next(EventKind::kLinkRecover, e.index);
       notify_network(e.kind, e.index);
       break;
     }
@@ -175,8 +126,7 @@ void Simulator::handle(const Event& e) {
       QUORA_TRACE(trace_, obs::EventKind::kAccessSubmit, ev.site,
                   counters_.accesses, 0, ev.is_read ? 1 : 0);
       notify_access(ev);
-      queue_.push({now_ + rng::exponential(gen_, access_interarrival_), 0,
-                   EventKind::kAccess, 0});
+      schedule_next(EventKind::kAccess, 0);
       break;
     }
   }

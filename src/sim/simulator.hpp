@@ -76,12 +76,6 @@ public:
   /// themselves, so `step_one` always has an event to pop.
   Event step_one();
 
-  /// Restore the initial all-up state, clear the clock, reschedule, and
-  /// rewind the RNG — a subsequent run replays this simulator's history
-  /// exactly. Observers stay attached. (The paper resets before each
-  /// batch; independent batches come from distinct streams, not reset.)
-  void reset();
-
   /// Fix internal cross-references after a by-value copy: the component
   /// tracker must observe this simulator's live network, not the
   /// source's. Call on every snapshot/restore copy before use. Observers
@@ -115,8 +109,6 @@ public:
   const net::Topology& topology() const noexcept { return *topo_; }
   const conn::LiveNetwork& network() const noexcept { return live_; }
   const conn::ComponentTracker& tracker() const noexcept { return tracker_; }
-  const SimConfig& config() const noexcept { return config_; }
-  const AccessSpec& access_spec() const noexcept { return spec_; }
 
   struct Counters {
     std::uint64_t accesses = 0;
@@ -138,8 +130,13 @@ public:
   void set_metrics(obs::Registry* registry);
 
 private:
-  void schedule_initial_events();
   QUORA_HOT_PATH void handle(const Event& e);
+  /// Queues the event that follows a `kind` event of component `index`
+  /// in its process.
+  void schedule_next(EventKind kind, std::uint32_t index) {
+    const PoissonProcesses::Next next = processes_.next(kind, index, gen_);
+    queue_.push({now_ + next.delay, 0, next.kind, index});
+  }
 
   // The measurement loop almost always runs exactly one observer of each
   // kind; dispatching through a cached pointer skips the vector iteration
@@ -164,17 +161,9 @@ private:
     for (AccessObserver* obs : access_obs_) obs->on_access(*this, ev);
   }
 
-  double site_mu_fail(net::SiteId s) const;
-  double site_mu_repair(net::SiteId s) const;
-  double link_mu_fail(net::LinkId l) const;
-  double link_mu_repair(net::LinkId l) const;
-
   const net::Topology* topo_;
-  SimConfig config_;
+  PoissonProcesses processes_;
   AccessSpec spec_;
-  FailureProfile profile_;
-  std::uint64_t seed_;
-  std::uint64_t stream_;
 
   // Mutable per-run state, owned by the (future) sim shard: nothing
   // outside a sim-shard entry point may reach it (L007).
@@ -183,7 +172,6 @@ private:
   QUORA_SHARD_LOCAL(sim) rng::Xoshiro256ss gen_;
   QUORA_SHARD_LOCAL(sim) EventQueue<Event> queue_;
   QUORA_SHARD_LOCAL(sim) double now_ = 0.0;
-  double access_interarrival_ = 0.0;  // mu_access / n: merged process mean
 
   // Site choice per access: uniform unless weights were given.
   std::optional<rng::AliasTable> read_sites_;

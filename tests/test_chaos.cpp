@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -517,6 +518,44 @@ TEST(Chaos, OverlappingDownHoldsKeepASiteDownUntilTheLastEnds) {
     held += !cluster.network().is_site_up(w.site);
   }
   EXPECT_GT(held, 0u) << "no window ended inside a background failure";
+}
+
+TEST(Chaos, HeldVictimsCascadeNothing) {
+  // held_victims.chaos takes a failed site's whole rack down (probability
+  // 1) under the live background process. A victim's own background
+  // failure often fires while the victim is held down; a site already
+  // down neither cleans up nor cascades, so no victim inside its window
+  // causes another cascade. The plan scripts no recovery, so no window
+  // ends early.
+  std::ifstream in(QUORA_EXAMPLES_DIR "/chaos/held_victims.chaos");
+  ASSERT_TRUE(in) << "cannot open held_victims.chaos";
+  const fault::ChaosSpec spec = fault::load_chaos(in);
+  Cluster cluster(spec.system->topology, msg::chaos_params(spec), spec.seed);
+  fault::FaultInjector injector(spec.plan, spec.seed);
+  fault::EventLog log;
+  cluster.attach_injector(&injector);
+  cluster.attach_log(&log);
+  cluster.run_until(spec.horizon);
+
+  std::map<unsigned, double> held_until;  // victim -> end of its window
+  std::uint64_t cascades = 0;
+  for (const std::string& line : log.lines()) {
+    double t = 0.0;
+    unsigned victim = 0;
+    unsigned with = 0;
+    double down_for = 0.0;
+    if (std::sscanf(line.c_str(), "t=%lf fault correlated site=%u with=%u down_for=%lf",
+                    &t, &victim, &with, &down_for) != 4) {
+      continue;
+    }
+    ++cascades;
+    const auto held = held_until.find(with);
+    if (held != held_until.end() && t < held->second) {
+      ADD_FAILURE() << "held victim " << with << " cascaded: " << line;
+    }
+    held_until[victim] = t + down_for;
+  }
+  EXPECT_GT(cascades, 20u);
 }
 
 TEST(Chaos, LongEventLogLinesAreKeptWhole) {

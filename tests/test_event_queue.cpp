@@ -1,7 +1,6 @@
 // sim::EventQueue ordering, copies and lifecycle. The simulator's bitwise
-// reproducibility rests on the queue's (time, seq) total order, batch
-// replays rely on clear() returning the queue to a truly fresh state, and
-// a queue copied by value (with the cluster or simulator holding it) must
+// reproducibility rests on the queue's (time, seq) total order, and a
+// queue copied by value (with the cluster or simulator holding it) must
 // carry its deferred root removal and its seq counter — all of it is
 // pinned here.
 
@@ -87,48 +86,6 @@ TEST(EventQueue, EqualTimesPopInInsertionOrder) {
     tied.push_back(e.index);
   }
   EXPECT_EQ(tied, (std::vector<std::uint32_t>{0, 1, 3, 5}));
-}
-
-TEST(EventQueue, ClearReleasesCapacityAndRestartsSeq) {
-  Queue q;
-  for (int i = 0; i < 1000; ++i) q.push(at(static_cast<double>(i), 0));
-  ASSERT_GE(q.capacity(), 1000u);
-
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  // Deterministic memory behaviour: clear() must actually release the
-  // backing store, not merely empty it.
-  EXPECT_EQ(q.capacity(), 0u);
-
-  // Sequence numbers restart from zero, so a cleared-and-refilled queue
-  // breaks ties exactly like a freshly constructed one (Simulator::reset
-  // depends on this for exact replay).
-  q.push(at(7.0, 100));
-  q.push(at(7.0, 200));
-  const sim::Event a = q.pop();
-  const sim::Event b = q.pop();
-  EXPECT_EQ(a.seq, 0u);
-  EXPECT_EQ(a.index, 100u);
-  EXPECT_EQ(b.seq, 1u);
-  EXPECT_EQ(b.index, 200u);
-}
-
-TEST(EventQueue, ReusedAfterClearMatchesFreshQueue) {
-  Queue used;
-  for (int i = 0; i < 64; ++i) {
-    used.push(at(64.0 - i, static_cast<std::uint32_t>(i)));
-  }
-  while (!used.empty()) used.pop();
-  used.clear();
-
-  Queue fresh;
-  for (int i = 0; i < 64; ++i) {
-    const double t = (i * 37) % 64;  // scrambled but identical for both
-    used.push(at(t, static_cast<std::uint32_t>(i)));
-    fresh.push(at(t, static_cast<std::uint32_t>(i)));
-  }
-  expect_same_events(drain(used), drain(fresh));
 }
 
 TEST(EventQueue, RandomOpsMatchSortedReference) {

@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "msg/cluster.hpp"
 #include "net/builders.hpp"
+#include "sim/simulator.hpp"
 
 namespace quora::msg {
 namespace {
@@ -47,6 +48,35 @@ TEST(Cluster, ValidatesParams) {
   p = reliable_params(5, 2);
   p.max_retries = Cluster::Params::kMaxRetryBudget;  // the boundary is legal
   EXPECT_NO_THROW(Cluster(topo, p, 1));
+}
+
+TEST(Cluster, FailsAndRepairsInStepWithTheSimulator) {
+  // Both simulators draw the §5.1 failure and repair processes from one
+  // definition, sim::PoissonProcesses, on one seeded stream. With the
+  // first access pushed out of reach (mu_fail stays 128), nothing else
+  // draws, so site and link liveness agree after every event.
+  const net::Topology topo = net::make_ring_with_chords(12, 3);
+  sim::SimConfig config;
+  config.mu_access = 1e9;
+  config.rho = config.mu_access / 128.0;
+  Cluster::Params params = reliable_params(12, 6);
+  params.config = config;
+  Cluster cluster(topo, params, 5);
+  sim::Simulator simulator(topo, config, sim::AccessSpec{}, 5);
+  for (int i = 0; i < 2'000; ++i) {
+    const sim::Event e = simulator.step_one();
+    ASSERT_NE(e.kind, sim::EventKind::kAccess);
+    cluster.run_until(e.time);
+    for (net::SiteId s = 0; s < topo.site_count(); ++s) {
+      ASSERT_EQ(cluster.network().is_site_up(s), simulator.network().is_site_up(s))
+          << "site " << s << " after event " << i;
+    }
+    for (net::LinkId l = 0; l < topo.link_count(); ++l) {
+      ASSERT_EQ(cluster.network().is_link_up(l), simulator.network().is_link_up(l))
+          << "link " << l << " after event " << i;
+    }
+  }
+  EXPECT_TRUE(cluster.outcomes().empty());
 }
 
 TEST(Cluster, FailureFreeNetworkGrantsEverything) {

@@ -118,19 +118,6 @@ TEST(Simulator, DeterministicPerSeedAndStream) {
   EXPECT_NE(run(7, 0), run(8, 0));
 }
 
-TEST(Simulator, ResetReplaysExactly) {
-  const net::Topology topo = net::make_ring(12);
-  Simulator sim(topo, SimConfig{}, AccessSpec{}, 77);
-  sim.run_accesses(3'000);
-  const double t1 = sim.now();
-  const auto fails1 = sim.counters().site_failures;
-  sim.reset();
-  EXPECT_EQ(sim.now(), 0.0);
-  sim.run_accesses(3'000);
-  EXPECT_DOUBLE_EQ(sim.now(), t1);
-  EXPECT_EQ(sim.counters().site_failures, fails1);
-}
-
 TEST(Simulator, AccessRateMatchesModel) {
   // n sites each submitting at rate 1/mu_access => system rate n, so N
   // accesses take ~N/n time units.
